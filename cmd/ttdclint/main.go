@@ -12,7 +12,10 @@
 //
 // Each argument is a directory or a `dir/...` tree pattern; the default is
 // `./...`. Tree patterns type-check packages concurrently over a shared
-// import cache (-workers bounds the parallelism).
+// import cache (-workers bounds the parallelism). Module packages are
+// type-checked from source; standard-library imports are read from gc
+// export data via `go list -export`, so ttdclint needs the go command that
+// built it on PATH. go.mod stays dependency-free.
 //
 // A baseline file (-baseline) is the gated-then-ratcheted adoption
 // workflow: findings recorded in it are reported as counts, not failures,

@@ -32,7 +32,8 @@ func benchPkgs(b *testing.B) []*Package {
 	return benchTree.pkgs
 }
 
-// BenchmarkLoadTree times a full serial parse + type-check of the module.
+// BenchmarkLoadTree times a full serial load of the module: the go list
+// call for standard-library export data, then parse + type-check.
 func BenchmarkLoadTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		loader, err := NewLoader("")

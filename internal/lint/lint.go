@@ -11,8 +11,11 @@
 //
 // The driver (cmd/ttdclint) loads every package in the module using only
 // the standard library — go/parser for syntax, go/types for semantics, and
-// the go/importer source importer for standard-library dependencies — so
-// go.mod keeps its zero-dependency guarantee.
+// gc export data via `go list -export` (read by the go/importer "gc"
+// importer) for standard-library dependencies — so go.mod keeps its
+// zero-dependency guarantee. Module packages are type-checked from source,
+// since the analyzers need their syntax trees. Loading therefore needs the
+// go command that built the driver on PATH.
 //
 // Findings can be suppressed with a directive on, or on the line above,
 // the offending line:

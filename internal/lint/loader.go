@@ -1,16 +1,21 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -37,22 +42,24 @@ type Package struct {
 }
 
 // Loader parses and type-checks packages of the enclosing module using
-// only the standard library. Imports inside the module are resolved
-// against the module root; everything else is delegated to the go/importer
-// source importer, which type-checks the standard library from GOROOT.
+// only the standard library. Imports inside the module are type-checked
+// from source under the module root; everything else (the standard
+// library) is read from gc export data located with `go list -export`, so
+// a Loader needs the go command that built it on PATH. NewLoader itself
+// starts no process: the go list call happens when a tree is loaded.
 type Loader struct {
 	// Module is the module path from go.mod.
 	Module string
 	// Root is the absolute module root directory.
 	Root string
-	// Fset is shared by every parse, including the source importer's.
+	// Fset is shared by every parse, including the export-data importer's.
 	Fset *token.FileSet
 
-	std     types.ImporterFrom
-	mu      sync.Mutex                // guards cache and loading
-	cache   map[string]*types.Package // import path -> checked (non-test files only)
+	mu      sync.Mutex                // guards everything below
+	cache   map[string]*types.Package // import path -> checked (module packages: non-test files only)
 	loading map[string]bool
-	stdMu   sync.Mutex // the source importer is not documented as concurrency-safe
+	gc      types.ImporterFrom // reads export data through openExport
+	exports map[string]string  // import path -> export data file, as listed by go list
 }
 
 // NewLoader locates the enclosing module by walking up from dir (or the
@@ -88,19 +95,20 @@ func NewLoader(dir string) (*Loader, error) {
 	if module == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not implement ImporterFrom")
-	}
-	return &Loader{
+	l := &Loader{
 		Module:  module,
 		Root:    root,
-		Fset:    fset,
-		std:     std,
+		Fset:    token.NewFileSet(),
 		cache:   map[string]*types.Package{},
 		loading: map[string]bool{},
-	}, nil
+		exports: map[string]string{},
+	}
+	gc, ok := importer.ForCompiler(l.Fset, "gc", l.openExport).(types.ImporterFrom)
+	if !ok {
+		return nil, fmt.Errorf("lint: gc importer does not implement ImporterFrom")
+	}
+	l.gc = gc
+	return l, nil
 }
 
 // modulePath extracts the module path from go.mod contents.
@@ -115,9 +123,9 @@ func modulePath(gomod string) string {
 }
 
 // Import resolves an import path for the type checker: module-internal
-// paths are checked from source under Root, anything else goes to the
-// source importer. Loader itself implements types.Importer so checked
-// packages can import each other.
+// paths are checked from source under Root, anything else is read from
+// export data. Loader itself implements types.Importer so checked packages
+// can import each other.
 //
 // Import is safe for concurrent use, with one caveat: two goroutines may
 // not concurrently import module-internal packages whose dependency
@@ -125,19 +133,19 @@ func modulePath(gomod string) string {
 // LoadTreeParallel avoids this by pre-filling the cache in dependency
 // order, so its phase-B checks only ever hit the cache.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	l.mu.Lock()
-	pkg, ok := l.cache[path]
-	l.mu.Unlock()
-	if ok {
-		return pkg, nil
-	}
 	dir, internal := l.dirFor(path)
 	if !internal {
-		l.stdMu.Lock()
-		defer l.stdMu.Unlock()
-		return l.std.ImportFrom(path, l.Root, 0)
+		pkgs, err := l.importStd(path)
+		if err != nil {
+			return nil, err
+		}
+		return pkgs[0], nil
 	}
 	l.mu.Lock()
+	if pkg, ok := l.cache[path]; ok {
+		l.mu.Unlock()
+		return pkg, nil
+	}
 	if l.loading[path] {
 		l.mu.Unlock()
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
@@ -158,7 +166,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	conf := types.Config{Importer: l}
-	pkg, err = conf.Check(path, l.Fset, files, nil)
+	pkg, err := conf.Check(path, l.Fset, files, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -166,6 +174,75 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	l.cache[path] = pkg
 	l.mu.Unlock()
 	return pkg, nil
+}
+
+// importStd returns the packages at the given non-module paths, reading
+// each from export data into the cache on first use. Paths that no earlier
+// go list call covered are listed together by one new call.
+func (l *Loader) importStd(paths ...string) ([]*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var unlisted []string
+	for _, path := range paths {
+		_, cached := l.cache[path]
+		if _, listed := l.exports[path]; !cached && !listed {
+			unlisted = append(unlisted, path)
+		}
+	}
+	if len(unlisted) > 0 {
+		if err := l.goList(unlisted); err != nil {
+			return nil, err
+		}
+	}
+	pkgs := make([]*types.Package, len(paths))
+	for i, path := range paths {
+		pkg, ok := l.cache[path]
+		if !ok {
+			var err error
+			if pkg, err = l.gc.ImportFrom(path, l.Root, 0); err != nil {
+				return nil, fmt.Errorf("lint: reading export data from go list -export for %s: %w", path, err)
+			}
+			l.cache[path] = pkg
+		}
+		pkgs[i] = pkg
+	}
+	return pkgs, nil
+}
+
+// goList records the export data files of paths and of all their
+// dependencies. It runs with GOPROXY=off: the loader only lists packages
+// outside the module, and the module has no dependencies to download.
+// Callers hold mu.
+func (l *Loader) goList(paths []string) error {
+	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}", "--"}, paths...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = l.Root
+	cmd.Env = append(os.Environ(), "GOPROXY=off")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		if msg := strings.TrimSpace(stderr.String()); msg != "" {
+			err = fmt.Errorf("%w: %s", err, msg)
+		}
+		return fmt.Errorf("lint: go list -export %s: %w", strings.Join(paths, " "), err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			l.exports[path] = file
+		}
+	}
+	return nil
+}
+
+// openExport is the gc importer's lookup: it opens the export data file go
+// list reported for path. It runs inside importStd, so mu is held.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	file := l.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("go list -export reported no export data for %s", path)
+	}
+	return os.Open(file)
 }
 
 // dirFor maps a module-internal import path to its directory.
@@ -179,11 +256,27 @@ func (l *Loader) dirFor(path string) (dir string, internal bool) {
 	return "", false
 }
 
-// parseDir parses the Go files of dir, sorted by name. With tests false it
-// keeps only compile files; with tests true it returns compile files,
-// in-package test files, and external test files as three slices appended
-// in that order by the caller via splitting on package name.
+// parseDir parses the Go files of dir (compile files, plus _test.go files
+// when tests is true), sorted by name.
 func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
+	names, err := goFiles(dir, tests)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// goFiles lists the names of dir's Go files, sorted, skipping hidden and
+// underscore files, and _test.go files unless tests is true.
+func goFiles(dir string, tests bool) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -200,15 +293,7 @@ func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
+	return names, nil
 }
 
 // LoadDir loads the package in dir for linting. It returns up to two
@@ -287,10 +372,16 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 }
 
 // LoadTree loads every package directory under root (which must be inside
-// the module), skipping testdata, hidden, and underscore directories.
+// the module), skipping testdata, hidden, and underscore directories. Before
+// any type-checking it imports every non-module package the tree needs
+// from export data, listed by a single go list call.
 func (l *Loader) LoadTree(root string, tests bool) ([]*Package, error) {
 	dirs, err := l.walkDirs(root)
 	if err != nil {
+		return nil, err
+	}
+	std, _ := l.scanImports(dirs, tests)
+	if _, err := l.importStd(std...); err != nil {
 		return nil, err
 	}
 	var pkgs []*Package
@@ -302,6 +393,67 @@ func (l *Loader) LoadTree(root string, tests bool) ([]*Package, error) {
 		pkgs = append(pkgs, units...)
 	}
 	return pkgs, nil
+}
+
+// scanImports reads the import clauses (parser.ImportsOnly) of the Go files
+// in dirs, test files included when tests is true, and of the module
+// packages they transitively import. It returns the non-module import
+// paths, sorted, and the module import graph: deps maps each module package
+// it read to the module paths its compile files (and, for the tree's own
+// directories, in-package test files) import. Those are the edges that
+// constrain check order, as in Go's import-cycle rules; external _test
+// packages may legally import packages that import their own, so their
+// imports only add nodes. Unreadable directories and files are skipped:
+// the full load that follows reports them with more context.
+func (l *Loader) scanImports(dirs []string, tests bool) (std []string, deps map[string][]string) {
+	fset := token.NewFileSet()
+	found := map[string]bool{}
+	deps = map[string][]string{}
+	queue := append([]string(nil), dirs...)
+	seen := map[string]bool{}
+	for _, dir := range dirs {
+		seen[dir] = true
+	}
+	for i := 0; i < len(queue); i++ {
+		dir := queue[i]
+		names, err := goFiles(dir, tests && i < len(dirs))
+		if err != nil || len(names) == 0 {
+			continue
+		}
+		var edges []string
+		for _, name := range names {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+			if err != nil {
+				continue
+			}
+			xtest := strings.HasSuffix(f.Name.Name, "_test")
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					continue
+				}
+				dep, internal := l.dirFor(path)
+				if !internal {
+					found[path] = true
+					continue
+				}
+				if !seen[dep] {
+					seen[dep] = true
+					queue = append(queue, dep)
+				}
+				if !xtest && !slices.Contains(edges, path) {
+					edges = append(edges, path)
+				}
+			}
+		}
+		deps[l.pathFor(dir)] = edges
+	}
+	std = make([]string, 0, len(found))
+	for path := range found {
+		std = append(std, path)
+	}
+	sort.Strings(std)
+	return std, deps
 }
 
 // walkDirs collects the package directories under root, sorted, skipping
@@ -333,32 +485,37 @@ func (l *Loader) walkDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// LoadTreeParallel is LoadTree with concurrent type-checking. It runs in
-// two phases so the shared import cache is only ever read concurrently,
-// never raced on:
+// LoadTreeParallel is LoadTree with concurrent type-checking. After the
+// same import scan and export-data import as LoadTree, it runs in two
+// phases so the shared import cache is only ever read concurrently, never
+// raced on:
 //
-//   - Phase A walks the module-internal import DAG (imports of the target
-//     directories plus their transitive internal closure), then checks it
-//     into the cache level by level — a package is checked only after all
-//     of its dependencies, and packages within a level are independent, so
-//     they check in parallel. Leftover nodes mean an import cycle.
+//   - Phase A checks the module-internal import DAG (the target directories
+//     plus their transitive internal closure) into the cache level by
+//     level — a package is checked only after all of its dependencies, and
+//     packages within a level are independent, so they check in parallel.
+//     Leftover nodes mean an import cycle.
 //   - Phase B checks the target units themselves (with test files and full
-//     Info) across `workers` goroutines; every internal import is a cache
-//     hit by construction.
+//     Info) across `workers` goroutines; every import is a cache hit by
+//     construction.
 //
 // The result is identical to LoadTree: same units, same order.
 func (l *Loader) LoadTreeParallel(root string, tests bool, workers int) ([]*Package, error) {
-	dirs, err := l.walkDirs(root)
-	if err != nil {
-		return nil, err
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
 		return l.LoadTree(root, tests)
 	}
-	if err := l.prefill(dirs, tests, workers); err != nil {
+	dirs, err := l.walkDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	std, deps := l.scanImports(dirs, tests)
+	if _, err := l.importStd(std...); err != nil {
+		return nil, err
+	}
+	if err := l.prefill(deps, workers); err != nil {
 		return nil, err
 	}
 	units := make([][]*Package, len(dirs))
@@ -389,59 +546,10 @@ func (l *Loader) LoadTreeParallel(root string, tests bool, workers int) ([]*Pack
 	return pkgs, nil
 }
 
-// prefill type-checks the module-internal dependency closure of dirs into
-// the import cache, in dependency order, parallel within each level.
-func (l *Loader) prefill(dirs []string, tests bool, workers int) error {
-	// deps maps each internal import path to the internal paths its
-	// compile (and, for target dirs, in-package test) files import — the
-	// edges that constrain check order. External-test imports only seed
-	// new nodes: package p_test may depend on packages that import p.
-	deps := map[string][]string{}
-	var queue []string
-	seed := func(path string) {
-		if _, ok := deps[path]; !ok {
-			deps[path] = nil
-			queue = append(queue, path)
-		}
-	}
-	for _, dir := range dirs {
-		ordering, extra, err := l.importsOf(dir, tests)
-		if err != nil {
-			return err
-		}
-		if ordering == nil && extra == nil {
-			continue // no Go files
-		}
-		path := l.pathFor(dir)
-		seed(path)
-		deps[path] = ordering
-		for _, p := range append(ordering, extra...) {
-			seed(p)
-		}
-	}
-	// Expand the closure: every seeded non-target node contributes its own
-	// compile imports.
-	for len(queue) > 0 {
-		path := queue[0]
-		queue = queue[1:]
-		if deps[path] != nil {
-			continue
-		}
-		dir, internal := l.dirFor(path)
-		if !internal {
-			delete(deps, path)
-			continue
-		}
-		ordering, _, err := l.importsOf(dir, false)
-		if err != nil {
-			return err
-		}
-		deps[path] = ordering
-		for _, p := range ordering {
-			seed(p)
-		}
-	}
-	// Kahn's algorithm by levels, checking each level in parallel.
+// prefill type-checks the module packages of deps into the import cache,
+// in dependency order (Kahn's algorithm by levels), parallel within each
+// level.
+func (l *Loader) prefill(deps map[string][]string, workers int) error {
 	done := map[string]bool{}
 	for len(done) < len(deps) {
 		var ready []string
@@ -494,56 +602,4 @@ func (l *Loader) prefill(dirs []string, tests bool, workers int) error {
 		}
 	}
 	return nil
-}
-
-// importsOf parses the import clauses of dir's Go files (ImportsOnly — no
-// bodies) and splits the module-internal paths into ordering edges
-// (compile and in-package test files, which the checker treats exactly
-// like Go's import-cycle rules) and extras (external _test package files,
-// which may legally import packages that import this one).
-func (l *Loader) importsOf(dir string, tests bool) (ordering, extra []string, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	seenOrd := map[string]bool{}
-	seenExtra := map[string]bool{}
-	found := false
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !tests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, nil, err
-		}
-		found = true
-		xtest := strings.HasSuffix(f.Name.Name, "_test")
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if _, internal := l.dirFor(path); !internal {
-				continue
-			}
-			if xtest {
-				if !seenExtra[path] {
-					seenExtra[path] = true
-					extra = append(extra, path)
-				}
-			} else if !seenOrd[path] {
-				seenOrd[path] = true
-				ordering = append(ordering, path)
-			}
-		}
-	}
-	if !found {
-		return nil, nil, nil
-	}
-	if ordering == nil {
-		ordering = []string{}
-	}
-	return ordering, extra, nil
 }

@@ -11,9 +11,15 @@ import (
 	"repro/internal/schedcache"
 )
 
-// maxStoredRuns bounds the in-memory campaign table; past it, submissions
-// are refused rather than growing without limit.
-const maxStoredRuns = 256
+// Bounds of the in-memory campaign table. A submission is refused only
+// while maxRunningRuns campaigns are still running; otherwise, once the
+// table holds maxStoredRuns runs, the oldest finished run is evicted (its
+// GET /jobs/{id} then answers 404). maxRunningRuns < maxStoredRuns, so a
+// finished run to evict always exists.
+const (
+	maxStoredRuns  = 1024
+	maxRunningRuns = 64
+)
 
 // Campaign run states.
 const (
@@ -58,10 +64,12 @@ type Jobs struct {
 	wg       sync.WaitGroup
 	draining atomic.Bool
 
-	mu    sync.Mutex
-	runs  map[string]*campaignRun
-	order []string
-	seq   int
+	mu      sync.Mutex
+	runs    map[string]*campaignRun
+	order   []string // run IDs in submission order
+	running int
+	evicted int64
+	seq     int
 }
 
 // NewJobs builds the campaign API over cache.
@@ -128,11 +136,15 @@ func (a *Jobs) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	a.mu.Lock()
-	if len(a.runs) >= maxStoredRuns {
+	if a.running >= maxRunningRuns {
 		a.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("ttdcserve: %d campaigns stored; drain before submitting more", maxStoredRuns))
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("ttdcserve: %d campaigns running; retry once one finishes", maxRunningRuns))
 		return
 	}
+	if len(a.runs) >= maxStoredRuns {
+		a.evictOldestFinished()
+	}
+	a.running++
 	a.seq++
 	run := &campaignRun{
 		id:    fmt.Sprintf("c%d", a.seq),
@@ -148,6 +160,11 @@ func (a *Jobs) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
+		defer func() {
+			a.mu.Lock()
+			a.running--
+			a.mu.Unlock()
+		}()
 		rep, err := run.eng.Run(a.baseCtx, jobs)
 		run.mu.Lock()
 		defer run.mu.Unlock()
@@ -165,6 +182,23 @@ func (a *Jobs) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// evictOldestFinished drops the earliest-submitted run that is no longer
+// running. Callers hold a.mu.
+func (a *Jobs) evictOldestFinished() {
+	for i, id := range a.order {
+		run := a.runs[id]
+		run.mu.Lock()
+		finished := run.state != stateRunning
+		run.mu.Unlock()
+		if finished {
+			delete(a.runs, id)
+			a.order = append(a.order[:i], a.order[i+1:]...)
+			a.evicted++
+			return
+		}
+	}
+}
+
 func (a *Jobs) handleGet(w http.ResponseWriter, r *http.Request) {
 	a.mu.Lock()
 	run, ok := a.runs[r.PathValue("id")]
@@ -177,17 +211,23 @@ func (a *Jobs) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *Jobs) handleList(w http.ResponseWriter, r *http.Request) {
-	a.mu.Lock()
-	ids := append([]string(nil), a.order...)
-	a.mu.Unlock()
-	out := make([]statusResponse, 0, len(ids))
-	for _, id := range ids {
-		a.mu.Lock()
-		run := a.runs[id]
-		a.mu.Unlock()
+	runs := a.stored()
+	out := make([]statusResponse, 0, len(runs))
+	for _, run := range runs {
 		out = append(out, run.status(false))
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// stored snapshots the table's runs in submission order.
+func (a *Jobs) stored() []*campaignRun {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	runs := make([]*campaignRun, len(a.order))
+	for i, id := range a.order {
+		runs[i] = a.runs[id]
+	}
+	return runs
 }
 
 // status snapshots the run; withResults attaches the full record list of a
@@ -211,19 +251,17 @@ func (run *campaignRun) status(withResults bool) statusResponse {
 	return resp
 }
 
-// metrics aggregates every run's counters for /metrics.
+// metrics aggregates every stored run's counters for /metrics.
 func (a *Jobs) metrics() map[string]int64 {
+	runs := a.stored()
 	a.mu.Lock()
-	ids := append([]string(nil), a.order...)
+	evicted := a.evicted
 	a.mu.Unlock()
 	out := map[string]int64{
-		"campaigns": int64(len(ids)), "running": 0,
+		"campaigns": int64(len(runs)), "running": 0, "evicted": evicted,
 		"jobs_total": 0, "jobs_done": 0, "jobs_failed": 0, "jobs_in_flight": 0,
 	}
-	for _, id := range ids {
-		a.mu.Lock()
-		run := a.runs[id]
-		a.mu.Unlock()
+	for _, run := range runs {
 		run.mu.Lock()
 		if run.state == stateRunning {
 			out["running"]++

@@ -212,3 +212,74 @@ func TestDrainCancelledContext(t *testing.T) {
 		t.Fatalf("post-drain submit status %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestJobsEvictOldestFinished submits more campaigns than the table keeps:
+// every submission is accepted, the oldest finished runs make room (their
+// status answers 404), and the table stays at its bound.
+func TestJobsEvictOldestFinished(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(NewService(0), Options{}))
+	defer ts.Close()
+	const extra = 2
+	var ids []string
+	for i := 0; i < maxStoredRuns+extra; i++ {
+		sub := postCampaign(t, ts, fmt.Sprintf(`{"n":[9],"d":[2],"workload":"analysis","seed":%d}`, i))
+		awaitDone(t, ts, sub.ID)
+		ids = append(ids, sub.ID)
+	}
+	for _, id := range ids[:extra] {
+		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck // test
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted campaign %s: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	if st := getStatus(t, ts, ids[extra]); st.State != stateDone {
+		t.Errorf("oldest kept campaign %s: state %s", ids[extra], st.State)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close() //nolint:errcheck // test
+	var metrics struct {
+		Engine map[string]int64 `json:"engine"`
+	}
+	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if metrics.Engine["campaigns"] != maxStoredRuns || metrics.Engine["evicted"] != extra {
+		t.Errorf("engine metrics = %v, want %d campaigns and %d evicted", metrics.Engine, maxStoredRuns, extra)
+	}
+}
+
+// TestJobsRefusedOnlyAtRunningCap pins the one refusal besides draining:
+// with maxRunningRuns campaigns running, a submission gets 503, and it is
+// accepted again as soon as one finishes.
+func TestJobsRefusedOnlyAtRunningCap(t *testing.T) {
+	svc := NewService(0)
+	ts := httptest.NewServer(NewHandler(svc, Options{}))
+	defer ts.Close()
+	jobs := svc.Jobs()
+	jobs.mu.Lock()
+	jobs.running = maxRunningRuns // as if that many campaigns were in flight
+	jobs.mu.Unlock()
+
+	doc := `{"n":[9],"d":[2],"workload":"analysis"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() //nolint:errcheck // test
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit at the running cap: status %d, want 503", resp.StatusCode)
+	}
+
+	jobs.mu.Lock()
+	jobs.running--
+	jobs.mu.Unlock()
+	awaitDone(t, ts, postCampaign(t, ts, doc).ID)
+}
