@@ -7,12 +7,13 @@
 // Usage:
 //
 //	ttdclint [-json] [-sarif file] [-baseline file] [-write-baseline]
-//	         [-enable list] [-disable list] [-workers n] [-tests=false]
+//	         [-enable list] [-disable list] [-tests=false]
 //	         [-hotpaths] [-write-alloc-gates] [packages...]
 //
 // Each argument is a directory or a `dir/...` tree pattern; the default is
-// `./...`. Tree patterns type-check packages concurrently over a shared
-// import cache (-workers bounds the parallelism). Module packages are
+// `./...`. A package matched by more than one pattern is linted once. Tree
+// patterns type-check packages concurrently, on GOMAXPROCS workers, over a
+// shared import cache. Module packages are
 // type-checked from source; standard-library imports are read from gc
 // export data via `go list -export`, so ttdclint needs the go command that
 // built it on PATH. go.mod stays dependency-free.
@@ -98,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	writeBaseline := fs.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit")
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	workers := fs.Int("workers", 0, "concurrent type-checking workers for tree patterns (0 = GOMAXPROCS)")
 	hotpaths := fs.Bool("hotpaths", false, "emit the //ttdc:hotpath inventory as JSON and exit")
 	writeGates := fs.Bool("write-alloc-gates", false, "regenerate the per-package alloc_gate_test.go files from the //ttdc:hotpath inventory and exit")
 	if err := fs.Parse(args); err != nil {
@@ -124,6 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var pkgs []*lint.Package
+	seen := map[string]bool{} // unit paths already loaded by an earlier pattern
 	for _, pat := range patterns {
 		var units []*lint.Package
 		var err error
@@ -132,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if rest == "" {
 				root = "."
 			}
-			units, err = loader.LoadTreeParallel(root, *tests, *workers)
+			units, err = loader.LoadTree(root, *tests)
 		} else {
 			units, err = loader.LoadDir(pat, *tests)
 		}
@@ -140,7 +141,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "ttdclint:", err)
 			return 2
 		}
-		pkgs = append(pkgs, units...)
+		for _, u := range units {
+			if !seen[u.Path] {
+				seen[u.Path] = true
+				pkgs = append(pkgs, u)
+			}
+		}
 	}
 
 	if *hotpaths || *writeGates {

@@ -89,6 +89,29 @@ func TestRunJSONReport(t *testing.T) {
 	}
 }
 
+// TestRunOverlappingPatternsLintOnce: a package matched by several
+// patterns is linted once, so repeating or overlapping patterns leaves the
+// report byte-identical to the single pattern's.
+func TestRunOverlappingPatternsLintOnce(t *testing.T) {
+	report := func(patterns ...string) string {
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"-json"}, patterns...), &out, &errb); code != 1 {
+			t.Fatalf("%v: exit = %d, want 1; stderr=%q", patterns, code, errb.String())
+		}
+		return out.String()
+	}
+	want := report("testdata/bad/...")
+	for _, patterns := range [][]string{
+		{"testdata/bad/...", "testdata/bad/..."},
+		{"testdata/bad/...", "testdata/bad"},
+		{"testdata/bad", "testdata/bad/..."},
+	} {
+		if got := report(patterns...); got != want {
+			t.Errorf("%v: report differs from the single pattern's:\n%s\nwant:\n%s", patterns, got, want)
+		}
+	}
+}
+
 // TestRunJSONSuppressedCount pins the suppression accounting: the good
 // tree's injected-clock //lint:ignore shows up in the report, not as a
 // finding.

@@ -6,27 +6,36 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestSerialVsParallelIdentical is the sweep's determinism acceptance
-// check: the engine-backed parallel run must print byte-identical tables
-// to the serial loop.
+// check: the suite on one engine worker and on eight must print
+// byte-identical tables, in text and in CSV.
 func TestSerialVsParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite comparison")
 	}
-	var serial, parallel bytes.Buffer
-	if err := run(nil, &serial, os.Stderr); err != nil {
+	ids := experiments.IDs()
+	for _, csv := range []bool{false, true} {
+		var serial, parallel bytes.Buffer
+		if failed, err := runEngine(ids, csv, 1, "", &serial, os.Stderr); err != nil || len(failed) > 0 {
+			t.Fatalf("csv=%v workers=1: failed %v, err %v", csv, failed, err)
+		}
+		if failed, err := runEngine(ids, csv, 8, "", &parallel, os.Stderr); err != nil || len(failed) > 0 {
+			t.Fatalf("csv=%v workers=8: failed %v, err %v", csv, failed, err)
+		}
+		if serial.String() != parallel.String() {
+			t.Errorf("csv=%v: sweep output at 8 workers differs from 1 worker", csv)
+		}
+	}
+	var out bytes.Buffer
+	if err := run(nil, &out, os.Stderr); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-parallel", "-workers", "8"}, &parallel, os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != parallel.String() {
-		t.Error("parallel sweep output differs from serial")
-	}
-	if !strings.Contains(serial.String(), "ttdcsweep: 17/17 PASS") {
-		t.Errorf("missing summary line; got tail %q", tail(serial.String()))
+	if !strings.Contains(out.String(), "ttdcsweep: 17/17 PASS") {
+		t.Errorf("missing summary line; got tail %q", tail(out.String()))
 	}
 }
 
@@ -70,6 +79,24 @@ func TestJournalResume(t *testing.T) {
 	}
 	if first.String() != second.String() {
 		t.Error("journal replay output differs from original run")
+	}
+}
+
+// TestJournalRefusesOtherFormat: a journal of text blocks must not be
+// replayed as CSV (or the reverse); the rerun fails as a wrong journal.
+func TestJournalRefusesOtherFormat(t *testing.T) {
+	for _, formats := range [][2][]string{{nil, {"-csv"}}, {{"-csv"}, nil}} {
+		journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+		base := []string{"-exp", "E5", "-journal", journal}
+		var first, rerun bytes.Buffer
+		if err := run(append(base, formats[0]...), &first, os.Stderr); err != nil {
+			t.Fatal(err)
+		}
+		err := run(append(base, formats[1]...), &rerun, os.Stderr)
+		if err == nil || !strings.Contains(err.Error(), "wrong journal") {
+			t.Errorf("journal %v rerun as %v: err = %v, want a wrong-journal error; output %q",
+				formats[0], formats[1], err, tail(rerun.String()))
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // SweepResult is the payload of one experiment job: whether the paper
 // claim held, plus the fully rendered table block. Rendering happens
-// inside the job so the engine's ordered writer reproduces, byte for
-// byte, what the serial sweep prints.
+// inside the job so a journal replay reproduces, byte for byte, what the
+// original run printed.
 type SweepResult struct {
 	Pass   bool   `json:"pass"`
 	Output string `json:"output"`
@@ -46,12 +46,19 @@ func RenderExperiment(res *experiments.Result, csv bool) (string, error) {
 // ExperimentJobs wraps the E1..E17 reproduction suite as engine jobs, one
 // per experiment ID. The experiments are internally seeded (their tables
 // are pinned to the paper), so the per-job seed only labels the journal.
+// The job ID carries the output format ("E5" for text, "E5.csv" for CSV),
+// so a journal of rendered blocks is never replayed in the other format:
+// the engine refuses it as a wrong journal.
 func ExperimentJobs(ids []string, csv bool, seed uint64) []Job {
 	jobs := make([]Job, len(ids))
 	for i, id := range ids {
 		id := id
+		jobID := id
+		if csv {
+			jobID += ".csv"
+		}
 		jobs[i] = Job{
-			ID:   id,
+			ID:   jobID,
 			Seed: stats.DeriveSeed(seed, uint64(i)),
 			Run: func(ctx context.Context) (any, error) {
 				res, err := experiments.Run(id)

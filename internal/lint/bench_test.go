@@ -32,8 +32,9 @@ func benchPkgs(b *testing.B) []*Package {
 	return benchTree.pkgs
 }
 
-// BenchmarkLoadTree times a full serial load of the module: the go list
-// call for standard-library export data, then parse + type-check.
+// BenchmarkLoadTree times a full load of the module: the go list call for
+// standard-library export data, then parse + type-check on GOMAXPROCS
+// workers.
 func BenchmarkLoadTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		loader, err := NewLoader("")
@@ -41,19 +42,6 @@ func BenchmarkLoadTree(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := loader.LoadTree(filepath.Join("..", ".."), true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoadTreeParallel times the worker-pool load `make lint` uses.
-func BenchmarkLoadTreeParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		loader, err := NewLoader("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := loader.LoadTreeParallel(filepath.Join("..", ".."), true, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,8 +100,8 @@ type Program struct {
 
 // BuildProgram assembles the call graph over pkgs and runs the summary
 // fixpoint. The result depends only on the contents and order of pkgs —
-// never on loader parallelism — which is what pins parallel and serial
-// lint runs byte-identical.
+// never on the loader's worker count — which is what pins lint runs
+// byte-identical at every worker count.
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{Funcs: map[string]*FuncInfo{}, byPkg: map[*Package][]*FuncInfo{}}
 	for _, pkg := range pkgs {
@@ -292,7 +292,7 @@ func symbolOf(fn *types.Func) string {
 
 // computeLevels assigns each function the Kahn level of its unit in the
 // import DAG restricted to the loaded units — the same dependency order
-// the parallel loader checks packages in. External test units sit one
+// the loader's prefill checks packages in. External test units sit one
 // level above their base package so their helpers see settled summaries.
 func (p *Program) computeLevels(pkgs []*Package) {
 	byPath := map[string]*types.Package{}

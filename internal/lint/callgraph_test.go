@@ -158,8 +158,8 @@ func renderSummaries(prog *Program) string {
 }
 
 // TestBuildProgramSerialParallelIdentical pins the determinism contract
-// for the interprocedural layer: summaries computed over a parallel tree
-// load are byte-identical to the serial ones.
+// for the interprocedural layer: summaries computed over a 4-worker tree
+// load are byte-identical to those over a 1-worker load.
 func TestBuildProgramSerialParallelIdentical(t *testing.T) {
 	root := ".."
 
@@ -167,7 +167,7 @@ func TestBuildProgramSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spkgs, err := serial.LoadTree(root, true)
+	spkgs, err := serial.loadTree(root, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestBuildProgramSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppkgs, err := parallel.LoadTreeParallel(root, true, 4)
+	ppkgs, err := parallel.loadTree(root, true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,6 @@ func TestBuildProgramSerialParallelIdentical(t *testing.T) {
 		t.Fatal("no summaries rendered")
 	}
 	if got != want {
-		t.Fatalf("summaries differ between parallel and serial loads:\n--- parallel ---\n%s--- serial ---\n%s", got, want)
+		t.Fatalf("summaries differ between 4-worker and 1-worker loads:\n--- 4 workers ---\n%s--- 1 worker ---\n%s", got, want)
 	}
 }

@@ -192,8 +192,8 @@ func TestLoaderResolvesModuleAndStdlib(t *testing.T) {
 }
 
 // TestLoadTreeParallelMatchesSerial pins the loader equivalence contract:
-// the parallel tree load must produce the same units, in the same order,
-// with byte-identical lint output, as the serial one.
+// a tree load on four workers must produce the same units, in the same
+// order, with byte-identical lint output, as one on a single worker.
 func TestLoadTreeParallelMatchesSerial(t *testing.T) {
 	render := func(pkgs []*Package) string {
 		var b strings.Builder
@@ -211,7 +211,7 @@ func TestLoadTreeParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spkgs, err := serial.LoadTree(root, true)
+	spkgs, err := serial.loadTree(root, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +220,14 @@ func TestLoadTreeParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppkgs, err := parallel.LoadTreeParallel(root, true, 4)
+	ppkgs, err := parallel.loadTree(root, true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	got, want := render(ppkgs), render(spkgs)
 	if got != want {
-		t.Fatalf("parallel load differs from serial:\n--- parallel ---\n%s--- serial ---\n%s", got, want)
+		t.Fatalf("4-worker load differs from 1-worker load:\n--- 4 workers ---\n%s--- 1 worker ---\n%s", got, want)
 	}
 	if len(ppkgs) == 0 {
 		t.Fatal("no packages loaded")

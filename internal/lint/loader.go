@@ -130,8 +130,8 @@ func modulePath(gomod string) string {
 // Import is safe for concurrent use, with one caveat: two goroutines may
 // not concurrently import module-internal packages whose dependency
 // closures overlap, or the in-progress marker reads as a cycle.
-// LoadTreeParallel avoids this by pre-filling the cache in dependency
-// order, so its phase-B checks only ever hit the cache.
+// LoadTree avoids this by pre-filling the cache in dependency order, so
+// its per-directory checks only ever hit the cache.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	dir, internal := l.dirFor(path)
 	if !internal {
@@ -372,25 +372,63 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 }
 
 // LoadTree loads every package directory under root (which must be inside
-// the module), skipping testdata, hidden, and underscore directories. Before
-// any type-checking it imports every non-module package the tree needs
-// from export data, listed by a single go list call.
+// the module), skipping testdata, hidden, and underscore directories. It
+// runs in three steps, so the shared import cache is only ever read
+// concurrently, never raced on:
+//
+//   - An import scan of the tree, then one go list call, imports every
+//     non-module package the tree needs from export data.
+//   - prefill checks the module-internal import DAG (the target directories
+//     plus their transitive internal closure) into the cache level by
+//     level — a package is checked only after all of its dependencies, and
+//     packages within a level are independent, so they check in parallel.
+//     Leftover nodes mean an import cycle.
+//   - A pool of GOMAXPROCS workers checks the target units themselves (with
+//     test files and full Info); every import is a cache hit by
+//     construction.
+//
+// Units come back in directory order, the same at every worker count.
 func (l *Loader) LoadTree(root string, tests bool) ([]*Package, error) {
+	return l.loadTree(root, tests, runtime.GOMAXPROCS(0))
+}
+
+// loadTree is LoadTree on a fixed number of workers.
+func (l *Loader) loadTree(root string, tests bool, workers int) ([]*Package, error) {
 	dirs, err := l.walkDirs(root)
 	if err != nil {
 		return nil, err
 	}
-	std, _ := l.scanImports(dirs, tests)
+	std, deps := l.scanImports(dirs, tests)
 	if _, err := l.importStd(std...); err != nil {
 		return nil, err
 	}
+	if err := l.prefill(deps, workers); err != nil {
+		return nil, err
+	}
+	units := make([][]*Package, len(dirs))
+	errs := make([]error, len(dirs))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				units[i], errs[i] = l.LoadDir(dirs[i], tests)
+			}
+		}()
+	}
+	for i := range dirs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	var pkgs []*Package
-	for _, dir := range dirs {
-		units, err := l.LoadDir(dir, tests)
-		if err != nil {
-			return nil, err
+	for i := range dirs {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		pkgs = append(pkgs, units...)
+		pkgs = append(pkgs, units[i]...)
 	}
 	return pkgs, nil
 }
@@ -483,67 +521,6 @@ func (l *Loader) walkDirs(root string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
-}
-
-// LoadTreeParallel is LoadTree with concurrent type-checking. After the
-// same import scan and export-data import as LoadTree, it runs in two
-// phases so the shared import cache is only ever read concurrently, never
-// raced on:
-//
-//   - Phase A checks the module-internal import DAG (the target directories
-//     plus their transitive internal closure) into the cache level by
-//     level — a package is checked only after all of its dependencies, and
-//     packages within a level are independent, so they check in parallel.
-//     Leftover nodes mean an import cycle.
-//   - Phase B checks the target units themselves (with test files and full
-//     Info) across `workers` goroutines; every import is a cache hit by
-//     construction.
-//
-// The result is identical to LoadTree: same units, same order.
-func (l *Loader) LoadTreeParallel(root string, tests bool, workers int) ([]*Package, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return l.LoadTree(root, tests)
-	}
-	dirs, err := l.walkDirs(root)
-	if err != nil {
-		return nil, err
-	}
-	std, deps := l.scanImports(dirs, tests)
-	if _, err := l.importStd(std...); err != nil {
-		return nil, err
-	}
-	if err := l.prefill(deps, workers); err != nil {
-		return nil, err
-	}
-	units := make([][]*Package, len(dirs))
-	errs := make([]error, len(dirs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				units[i], errs[i] = l.LoadDir(dirs[i], tests)
-			}
-		}()
-	}
-	for i := range dirs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	var pkgs []*Package
-	for i := range dirs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		pkgs = append(pkgs, units[i]...)
-	}
-	return pkgs, nil
 }
 
 // prefill type-checks the module packages of deps into the import cache,

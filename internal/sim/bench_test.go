@@ -76,10 +76,10 @@ func benchConvergecast(b *testing.B, legacy bool) {
 	const n, d = 256, 4
 	s := benchPolySchedule(b, n, d)
 	g := topology.Grid(16, 16)
-	cfg := ConvergecastConfig{Sink: 0, Rate: 0.02, Frames: 20, Seed: 7, Legacy: legacy}
+	cfg := ConvergecastConfig{Sink: 0, Rate: 0.02, Frames: 20, Seed: 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunConvergecast(g, s, cfg); err != nil {
+		if _, err := runConvergecastPath(g, s, cfg, legacy); err != nil {
 			b.Fatal(err)
 		}
 	}

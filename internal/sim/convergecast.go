@@ -57,14 +57,8 @@ type ConvergecastConfig struct {
 	// byte-identical at every shard count (the RNG-consuming generation
 	// and the queue-mutating resolution stay sequential; only the
 	// order-insensitive contention counting fans out). Ignored by the
-	// legacy loop.
+	// general per-node loop.
 	Shards int
-	// Legacy forces the per-node reference loop even where the
-	// struct-of-arrays fast path applies (schedule-driven MAC, ideal
-	// channel, perfect sync, no tracer). The zero value — fast path on —
-	// is safe because the two paths are pinned byte-identical by the
-	// differential tests in this package.
-	Legacy bool
 }
 
 // TrafficPhase is one segment of a time-varying load pattern.
@@ -179,8 +173,9 @@ func finishConvergecast(res *ConvergecastResult, em EnergyModel, txSlots, rxSlot
 //
 // When the protocol is the schedule-driven MAC and the run uses the paper's
 // ideal channel with perfect synchronization and no tracer, the run takes
-// the struct-of-arrays fast path unless cfg.Legacy forces the reference
-// loop; the two paths are byte-identical (see difftest_test.go).
+// the struct-of-arrays fast path; every other input runs the general
+// per-node loop. On the inputs both handle the two are byte-identical (see
+// difftest_test.go).
 func RunConvergecastProtocol(g *topology.Graph, proto Protocol, cfg ConvergecastConfig) (*ConvergecastResult, error) {
 	n := g.N()
 	if cfg.Sink < 0 || cfg.Sink >= n {
@@ -220,8 +215,7 @@ func RunConvergecastProtocol(g *topology.Graph, proto Protocol, cfg Convergecast
 	if err != nil {
 		return nil, err
 	}
-	if sp, ok := proto.(ScheduleProtocol); ok && !cfg.Legacy &&
-		cfg.Channel.ideal() && cfg.Clock == nil && cfg.Tracer == nil {
+	if sp, ok := proto.(ScheduleProtocol); ok && cfg.Channel.ideal() && cfg.Clock == nil && cfg.Tracer == nil {
 		// One-shot kernel: campaigns that replay one (graph, schedule,
 		// sink) triple should build a ConvergecastKernel once and call
 		// Run per configuration instead.

@@ -16,9 +16,9 @@ func TestConvergecastForwardingQueueDrop(t *testing.T) {
 	g := topology.Line(3)
 	s := tdmaSchedule(t, 3)
 	for _, legacy := range []bool{false, true} {
-		res, err := RunConvergecast(g, s, ConvergecastConfig{
-			Sink: 0, Rate: 0.8, Frames: 60, MaxQueue: 1, Seed: 9, Legacy: legacy,
-		})
+		res, err := runConvergecastPath(g, s, ConvergecastConfig{
+			Sink: 0, Rate: 0.8, Frames: 60, MaxQueue: 1, Seed: 9,
+		}, legacy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +106,10 @@ func TestConvergecastZeroRatePhaseGeneratesNothing(t *testing.T) {
 	g := topology.Ring(5)
 	s := tdmaSchedule(t, 5)
 	for _, legacy := range []bool{false, true} {
-		res, err := RunConvergecast(g, s, ConvergecastConfig{
-			Sink: 0, Frames: 6, Seed: 17, Legacy: legacy,
+		res, err := runConvergecastPath(g, s, ConvergecastConfig{
+			Sink: 0, Frames: 6, Seed: 17,
 			Phases: []TrafficPhase{{Slots: 4, Rate: 0}},
-		})
+		}, legacy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -185,10 +185,10 @@ func (sc *ccFastScratch) reset(n, nw int) {
 // Run executes one convergecast run on the kernel's triple. The arrival
 // RNG stream, the ascending-receiver resolution order, and the Summary
 // contents replay the legacy loop exactly, so the result is
-// reflect.DeepEqual-identical to RunConvergecastProtocol with cfg.Legacy
-// on the same inputs — at every cfg.Shards value (pinned by the
-// differential matrix and fuzz harness in this package). Fields of cfg
-// outside the core model (Channel, Clock, Tracer, Legacy) must be unset,
+// reflect.DeepEqual-identical to the general per-node loop on the same
+// inputs — at every cfg.Shards value (pinned by the differential matrix
+// and fuzz harness in this package). Fields of cfg outside the core model
+// (Channel, Clock, Tracer) must be unset,
 // and cfg.Sink must match the kernel's sink.
 func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, error) {
 	if cfg.Sink != k.sink {
@@ -200,7 +200,7 @@ func (k *ConvergecastKernel) Run(cfg ConvergecastConfig) (*ConvergecastResult, e
 	if cfg.Rate < 0 {
 		return nil, fmt.Errorf("sim: negative rate")
 	}
-	if !cfg.Channel.ideal() || cfg.Clock != nil || cfg.Tracer != nil || cfg.Legacy {
+	if !cfg.Channel.ideal() || cfg.Clock != nil || cfg.Tracer != nil {
 		return nil, fmt.Errorf("sim: convergecast kernel only runs the ideal-channel fast path")
 	}
 	rateAt, err := rateFunc(&cfg)

@@ -191,8 +191,9 @@ func (ss *satShardScratch) reset(lw int) {
 // eligible slot, so the delivery pattern of slot i is identical in every
 // frame — which lets the fast path resolve a single frame with bitset word
 // operations and scale the integer counters by the frame count. The result
-// is field-for-field identical to RunSaturationLegacy on the same inputs
-// (pinned by the differential matrix and fuzz harness in this package).
+// is field-for-field identical to the slot-by-slot reference loop on the
+// same inputs (pinned by the differential matrix and fuzz harness in this
+// package).
 func (k *SaturationKernel) Run(g *topology.Graph, frames int, em EnergyModel) (*SaturationResult, error) {
 	return k.RunSharded(g, frames, em, 1)
 }
