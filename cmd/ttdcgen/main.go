@@ -19,6 +19,7 @@ import (
 	"os"
 
 	ttdc "repro"
+	"repro/internal/schedcache"
 )
 
 func main() {
@@ -47,22 +48,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	ns, err := buildBase(*base, *n, *d, *frameLen, *seed)
+	k := schedcache.Key{N: *n, D: *d, AlphaT: *alphaT, AlphaR: *alphaR}
+	if *balanced {
+		k.Strategy = ttdc.Balanced
+	}
+	s, err := build(*base, k, *frameLen, *seed)
 	if err != nil {
 		return err
-	}
-	s := ns
-	if *alphaT > 0 || *alphaR > 0 {
-		if *alphaT <= 0 || *alphaR <= 0 {
-			return fmt.Errorf("set both -alphaT and -alphaR (got %d, %d)", *alphaT, *alphaR)
-		}
-		opts := ttdc.ConstructOptions{AlphaT: *alphaT, AlphaR: *alphaR, D: *d}
-		if *balanced {
-			opts.Strategy = ttdc.Balanced
-		}
-		if s, err = ttdc.Construct(ns, opts); err != nil {
-			return err
-		}
 	}
 	if *verify {
 		if w := ttdc.CheckRequirement3(s, *d); w != nil {
@@ -85,25 +77,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func buildBase(base string, n, d, frameLen int, seed uint64) (*ttdc.Schedule, error) {
-	switch base {
-	case "tdma":
-		return ttdc.TDMA(n)
-	case "polynomial":
-		return ttdc.PolynomialSchedule(n, d)
-	case "steiner":
-		if d != 2 {
-			return nil, fmt.Errorf("steiner construction supports D = 2 only (got %d)", d)
-		}
-		return ttdc.SteinerSchedule(n)
-	case "projective":
-		return ttdc.ProjectiveSchedule(n, d)
-	case "search":
-		if frameLen == 0 {
-			frameLen = n
-		}
-		return ttdc.SearchSchedule(n, d, frameLen, seed)
-	default:
-		return nil, fmt.Errorf("unknown base construction %q", base)
+// build constructs k's schedule from the named base under the trusted
+// local budget. search, a randomized cover-free family of frame length
+// frameLen (0 = n), is built here; every other name goes to the shared
+// builder.
+func build(base string, k schedcache.Key, frameLen int, seed uint64) (*ttdc.Schedule, error) {
+	lim := schedcache.TrustedLimits
+	if base != "search" {
+		return lim.Build(base, k)
 	}
+	if err := lim.Validate(k); err != nil {
+		return nil, err
+	}
+	if frameLen == 0 {
+		frameLen = k.N
+	}
+	ns, err := ttdc.SearchSchedule(k.N, k.D, frameLen, seed)
+	if err != nil {
+		return nil, err
+	}
+	return lim.DutyCycle(ns, k)
 }

@@ -1,6 +1,12 @@
 // Command ttdcsim runs the slot-level WSN simulator with a schedule (JSON
-// from ttdcgen or built in-process) on a chosen topology, and prints either
-// the worst-case saturation report or the convergecast report.
+// from ttdcgen or built in-process) on a chosen topology, and prints the
+// worst-case saturation, convergecast or flood report.
+//
+// -gen builds a tdma, polynomial, steiner (D = 2 only) or projective base
+// in-process, duty-cycled when both -alphaT and -alphaR are set. The
+// topology models are regular, ring, grid, geometric and random; the
+// seeded ones (geometric, random) are refused above 8192 nodes, and
+// parameters a model cannot satisfy are reported as errors.
 //
 // Usage:
 //
@@ -15,6 +21,8 @@ import (
 	"os"
 
 	ttdc "repro"
+	"repro/internal/schedcache"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -28,11 +36,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ttdcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		gen    = fs.String("gen", "", "build schedule in-process: tdma | polynomial | steiner (default: read JSON from stdin)")
+		gen    = fs.String("gen", "", "build schedule in-process: tdma | polynomial | steiner | projective (default: read JSON from stdin)")
 		n      = fs.Int("n", 25, "number of nodes")
 		d      = fs.Int("D", 2, "degree bound")
-		alphaT = fs.Int("alphaT", 0, "construct (αT, αR)-schedule when both set")
-		alphaR = fs.Int("alphaR", 0, "construct (αT, αR)-schedule when both set")
+		alphaT = fs.Int("alphaT", 0, "construct (αT, αR)-schedule (set both or neither)")
+		alphaR = fs.Int("alphaR", 0, "construct (αT, αR)-schedule (set both or neither)")
 		topo   = fs.String("topo", "regular", "topology: regular | ring | grid | geometric | random")
 		radius = fs.Float64("radius", 0.3, "geometric topology radius")
 		mode   = fs.String("mode", "saturation", "workload: saturation | convergecast | flood")
@@ -51,7 +59,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	s, err := loadSchedule(stdin, *gen, *n, *d, *alphaT, *alphaR)
+	s, err := loadSchedule(stdin, *gen, schedcache.Key{N: *n, D: *d, AlphaT: *alphaT, AlphaR: *alphaR})
 	if err != nil {
 		return err
 	}
@@ -59,7 +67,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *n < nodes {
 		nodes = *n
 	}
-	g, err := buildTopo(*topo, nodes, *d, *radius, *seed)
+	g, err := topology.Build(*topo, nodes, *d, *radius, *seed)
 	if err != nil {
 		return err
 	}
@@ -123,50 +131,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func loadSchedule(stdin io.Reader, gen string, n, d, alphaT, alphaR int) (*ttdc.Schedule, error) {
-	var s *ttdc.Schedule
-	var err error
-	switch gen {
-	case "":
+// loadSchedule reads a schedule from stdin, or builds the named
+// construction in-process under the trusted local budget.
+func loadSchedule(stdin io.Reader, gen string, k schedcache.Key) (*ttdc.Schedule, error) {
+	if gen == "" {
 		return ttdc.DecodeSchedule(stdin)
-	case "tdma":
-		s, err = ttdc.TDMA(n)
-	case "polynomial":
-		s, err = ttdc.PolynomialSchedule(n, d)
-	case "steiner":
-		s, err = ttdc.SteinerSchedule(n)
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if alphaT > 0 && alphaR > 0 {
-		return ttdc.Construct(s, ttdc.ConstructOptions{AlphaT: alphaT, AlphaR: alphaR, D: d})
-	}
-	return s, nil
-}
-
-func buildTopo(kind string, n, d int, radius float64, seed uint64) (*ttdc.Graph, error) {
-	rng := ttdc.NewRNG(seed)
-	switch kind {
-	case "regular":
-		return ttdc.Regularish(n, d), nil
-	case "ring":
-		return ttdc.Ring(n), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return ttdc.Grid(side, side), nil
-	case "geometric":
-		dep := ttdc.RandomGeometric(n, radius, rng)
-		dep.Graph.EnforceMaxDegree(d, rng)
-		return dep.Graph, nil
-	case "random":
-		return ttdc.RandomBoundedDegree(n, d, n/4, rng), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", kind)
-	}
+	return schedcache.TrustedLimits.Build(gen, k)
 }

@@ -46,17 +46,42 @@ func TestRunSchedulePipedFromStdin(t *testing.T) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
+	cases := []struct {
+		args  []string
+		stdin string
+		want  string
+	}{
+		{[]string{"-gen", "quantum"}, "", "unknown construction"},
+		{[]string{"-gen", "tdma", "-n", "6", "-mode", "osmosis"}, "", "unknown mode"},
+		{[]string{"-gen", "tdma", "-n", "6", "-topo", "klein-bottle"}, "", "unknown model"},
+		{nil, "not json", ""},
+		// Parameters the generators cannot satisfy are errors, not panics.
+		{[]string{"-gen", "polynomial", "-n", "25", "-D", "1", "-topo", "random"}, "", "random needs"},
+		{[]string{"-gen", "tdma", "-n", "25", "-D", "3"}, "", "nd odd"},
+		{[]string{"-gen", "steiner", "-n", "25", "-D", "3"}, "", "D = 2 only"},
+		{[]string{"-gen", "polynomial", "-n", "25", "-alphaT", "3"}, "", "set both"},
+		{[]string{"-gen", "polynomial", "-n", "9000", "-topo", "geometric"}, "", "dense limit"},
+	}
+	for _, tc := range cases {
+		var out, errOut bytes.Buffer
+		err := run(tc.args, strings.NewReader(tc.stdin), &out, &errOut)
+		if err == nil {
+			t.Errorf("run(%v) accepted", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want substring %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+func TestRunProjective(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if err := run([]string{"-gen", "quantum"}, strings.NewReader(""), &out, &errOut); err == nil {
-		t.Error("unknown generator accepted")
+	if err := run([]string{"-gen", "projective", "-n", "13", "-D", "3", "-topo", "ring", "-frames", "2"},
+		strings.NewReader(""), &out, &errOut); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-gen", "tdma", "-n", "6", "-mode", "osmosis"}, strings.NewReader(""), &out, &errOut); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if err := run([]string{"-gen", "tdma", "-n", "6", "-topo", "klein-bottle"}, strings.NewReader(""), &out, &errOut); err == nil {
-		t.Error("unknown topology accepted")
-	}
-	if err := run(nil, strings.NewReader("not json"), &out, &errOut); err == nil {
-		t.Error("garbage stdin accepted")
+	if !strings.Contains(out.String(), "schedule: n=13 L=13") {
+		t.Errorf("unexpected banner:\n%s", out.String())
 	}
 }

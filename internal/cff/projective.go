@@ -113,12 +113,12 @@ func ProjectivePlane(n, p int) (*Family, error) {
 	}, nil
 }
 
-// ProjectiveFor returns the smallest-order projective-plane family
-// supporting n nodes at degree bound d (the least prime p >= d with
-// p²+p+1 >= n).
-func ProjectiveFor(n, d int) (*Family, error) {
+// ProjectiveOrderFor returns the order of the smallest projective plane
+// supporting n nodes at degree bound d: the least prime p >= d with
+// p²+p+1 >= n. The frame length p²+p+1 follows without building anything.
+func ProjectiveOrderFor(n, d int) (int, error) {
 	if n < 1 || d < 1 {
-		return nil, fmt.Errorf("cff: ProjectiveFor(%d, %d)", n, d)
+		return 0, fmt.Errorf("cff: ProjectiveFor(%d, %d)", n, d)
 	}
 	p := d
 	if p < 2 {
@@ -127,8 +127,18 @@ func ProjectiveFor(n, d int) (*Family, error) {
 	for {
 		p = gf.NextPrime(p)
 		if p*p+p+1 >= n {
-			return ProjectivePlane(n, p)
+			return p, nil
 		}
 		p++
 	}
+}
+
+// ProjectiveFor returns the smallest-order projective-plane family
+// supporting n nodes at degree bound d (see ProjectiveOrderFor).
+func ProjectiveFor(n, d int) (*Family, error) {
+	p, err := ProjectiveOrderFor(n, d)
+	if err != nil {
+		return nil, err
+	}
+	return ProjectivePlane(n, p)
 }

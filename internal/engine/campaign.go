@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/schedcache"
+	"repro/internal/topology"
 )
 
 // Decode bounds: a campaign document is untrusted input (it arrives over
@@ -146,11 +148,7 @@ func (c Campaign) withDefaults() Campaign {
 	return c
 }
 
-var (
-	constructions = map[string]bool{"tdma": true, "polynomial": true, "steiner": true, "projective": true}
-	topologies    = map[string]bool{"regular": true, "ring": true, "grid": true, "geometric": true, "random": true}
-	workloads     = map[string]bool{"analysis": true, "saturation": true, "convergecast": true, "flood": true}
-)
+var workloads = []string{"analysis", "saturation", "convergecast", "flood"}
 
 // Validate range-checks the campaign without expanding it. Per-point
 // feasibility (D < n, admissible fields, cap feasibility) is deliberately
@@ -158,13 +156,13 @@ var (
 // and the rest of the campaign proceeds.
 func (c *Campaign) Validate() error {
 	cc := c.withDefaults()
-	if !constructions[cc.Construction] {
+	if !slices.Contains(schedcache.Constructions, cc.Construction) {
 		return fmt.Errorf("engine: unknown construction %q", cc.Construction)
 	}
-	if !topologies[cc.Topology] {
+	if !slices.Contains(topology.Models, cc.Topology) {
 		return fmt.Errorf("engine: unknown topology %q", cc.Topology)
 	}
-	if !workloads[cc.Workload] {
+	if !slices.Contains(workloads, cc.Workload) {
 		return fmt.Errorf("engine: unknown workload %q", cc.Workload)
 	}
 	if _, err := schedcache.ParseStrategy(cc.Strategy); err != nil {
@@ -192,11 +190,8 @@ func (c *Campaign) Validate() error {
 		}
 	}
 	for _, p := range cc.Duty {
-		if p.AlphaT < 0 || p.AlphaR < 0 {
-			return fmt.Errorf("engine: negative duty caps (%d, %d)", p.AlphaT, p.AlphaR)
-		}
-		if (p.AlphaT == 0) != (p.AlphaR == 0) {
-			return fmt.Errorf("engine: duty point (%d, %d): set both caps or neither", p.AlphaT, p.AlphaR)
+		if err := schedcache.ValidateCaps(p.AlphaT, p.AlphaR); err != nil {
+			return fmt.Errorf("engine: duty point: %w", err)
 		}
 		if p.AlphaT > MaxCampaignN || p.AlphaR > MaxCampaignN {
 			return fmt.Errorf("engine: duty caps (%d, %d) exceed %d", p.AlphaT, p.AlphaR, MaxCampaignN)

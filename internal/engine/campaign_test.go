@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/schedcache"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 func TestExpandOrderAndCount(t *testing.T) {
@@ -122,19 +124,24 @@ func TestDecodeCampaign(t *testing.T) {
 	}
 }
 
-// TestExecuteJobWorkloads smoke-runs each workload once on a tiny class.
+// TestExecuteJobWorkloads smoke-runs each workload once on a tiny class,
+// through the same Jobs path a campaign runs.
 func TestExecuteJobWorkloads(t *testing.T) {
 	for _, workload := range []string{"analysis", "saturation", "convergecast", "flood"} {
 		t.Run(workload, func(t *testing.T) {
 			c := &Campaign{N: []int{9}, D: []int{2}, Workload: workload, Frames: 2, Seed: 3}
-			specs, err := c.Expand()
+			jobs, err := Jobs(c, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := ExecuteJob(context.Background(), specs[0], stats.DeriveSeed(3, 0), nil)
+			if jobs[0].Seed != stats.DeriveSeed(3, 0) {
+				t.Fatalf("job seed = %d", jobs[0].Seed)
+			}
+			res, err := jobs[0].Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
+			m := res.(*Metrics)
 			if m.L <= 0 {
 				t.Fatalf("metrics = %+v", m)
 			}
@@ -143,6 +150,44 @@ func TestExecuteJobWorkloads(t *testing.T) {
 			}
 			if workload == "flood" && m.Covered == 0 {
 				t.Fatal("flood covered nobody")
+			}
+		})
+	}
+}
+
+// TestJobsRefuseBadInputs pins the failure paths of a single job: every
+// construction is budgeted by the cache's Limits (serving bounds for
+// schedcache.New, which is what POST /jobs uses), steiner is refused off
+// D = 2, and topology parameters the generators cannot satisfy fail the
+// job with a plain error rather than a recovered panic.
+func TestJobsRefuseBadInputs(t *testing.T) {
+	cases := []struct {
+		name  string
+		c     Campaign
+		cache *schedcache.Cache
+		want  string
+	}{
+		{"tdma over serving budget", Campaign{Construction: "tdma", N: []int{10000}, D: []int{2}}, schedcache.New(0), "exceeds the build budget"},
+		{"polynomial over serving budget", Campaign{N: []int{10000}, D: []int{60}}, schedcache.New(0), "exceeds the build budget"},
+		{"tdma over serving n bound", Campaign{Construction: "tdma", N: []int{schedcache.MaxN + 1}, D: []int{2}}, schedcache.New(0), "exceeds the serving bound"},
+		{"steiner off D=2", Campaign{Construction: "steiner", N: []int{25}, D: []int{3}}, nil, "D = 2 only"},
+		{"random D=1", Campaign{N: []int{25}, D: []int{1}, Topology: "random", Workload: "flood"}, nil, "random needs"},
+		{"regular nd odd", Campaign{Construction: "tdma", N: []int{25}, D: []int{3}, Workload: "flood"}, nil, "nd odd"},
+		{"geometric over dense limit", Campaign{N: []int{topology.DenseLimit + 1}, D: []int{2}, Topology: "geometric", Workload: "flood"}, nil, "dense limit"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs, err := Jobs(&tc.c, tc.cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := New(Options{Workers: 1}).Run(context.Background(), jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := rep.Records[0]
+			if rec.Status != StatusFail || !strings.Contains(rec.Error, tc.want) || strings.HasPrefix(rec.Error, "panic") {
+				t.Fatalf("record = %+v, want a plain failure mentioning %q", rec, tc.want)
 			}
 		})
 	}

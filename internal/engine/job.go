@@ -50,11 +50,35 @@ type Metrics struct {
 var metricsPool = sync.Pool{New: func() any { return new(Metrics) }}
 
 // Release returns m to the job-result pool. The engine calls it after the
-// record payload is serialized; callers holding a Metrics from a direct
-// ExecuteJob call simply never release it.
+// record payload is serialized.
 func (m *Metrics) Release() {
 	*m = Metrics{}
 	metricsPool.Put(m)
+}
+
+// memo shares one build per key across the jobs of one campaign with
+// singleflight semantics: the first job to ask for a key runs build, and
+// concurrent and later askers wait for and share its result (a panicking
+// build re-panics in every asker). It is unbounded, which is safe because
+// a campaign's distinct keys are fixed at expansion time. The zero value
+// is ready to use.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]func() (V, error)
+}
+
+func (mm *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
+	mm.mu.Lock()
+	f, ok := mm.m[k]
+	if !ok {
+		if mm.m == nil {
+			mm.m = make(map[K]func() (V, error))
+		}
+		f = sync.OnceValues(build)
+		mm.m[k] = f
+	}
+	mm.mu.Unlock()
+	return f()
 }
 
 // schedKey identifies the schedule a job needs. Jobs of one campaign that
@@ -67,104 +91,24 @@ type schedKey struct {
 	strategy       string
 }
 
-// schedMemo shares schedule builds across the jobs of one campaign with
-// singleflight semantics: replications and topologies of the same grid
-// point pay for construction once, including for the constructions
-// (tdma, steiner, projective) the cross-campaign polynomial cache cannot
-// serve. Unlike schedcache.Cache it is unbounded, which is safe because a
-// campaign's distinct grid points are fixed at expansion time.
-type schedMemo struct {
-	mu sync.Mutex
-	m  map[schedKey]*schedEntry
-}
-
-type schedEntry struct {
-	once sync.Once
-	s    *ttdc.Schedule
-	err  error
-}
-
-func (sm *schedMemo) get(k schedKey, build func() (*ttdc.Schedule, error)) (*ttdc.Schedule, error) {
-	sm.mu.Lock()
-	e, ok := sm.m[k]
-	if !ok {
-		e = &schedEntry{}
-		sm.m[k] = e
-	}
-	sm.mu.Unlock()
-	e.once.Do(func() { e.s, e.err = build() })
-	return e.s, e.err
-}
-
 // kernelKey identifies a saturation fast-path kernel: the schedule (by
-// pointer — campaign schedules are deduplicated through schedMemo, so one
-// pointer per grid point) and the topology's node count, which can differ
-// from the spec's N (grid topologies round up to a full square).
+// pointer — campaign schedules are deduplicated through the schedule memo,
+// so one pointer per grid point) and the topology's node count, which can
+// differ from the spec's N (grid topologies round up to a full square).
 type kernelKey struct {
 	s *ttdc.Schedule
 	n int
 }
 
-// kernelMemo shares saturation kernels across the jobs of one campaign
-// with singleflight semantics: the replications and topologies of a grid
-// point pay the kernel precomputation once, then shard their runs across
-// the worker pool against the shared immutable kernel.
-type kernelMemo struct {
-	mu sync.Mutex
-	m  map[kernelKey]*kernelEntry
-}
-
-type kernelEntry struct {
-	once sync.Once
-	k    *ttdc.SaturationKernel
-	err  error
-}
-
-func (km *kernelMemo) get(key kernelKey) (*ttdc.SaturationKernel, error) {
-	km.mu.Lock()
-	e, ok := km.m[key]
-	if !ok {
-		e = &kernelEntry{}
-		km.m[key] = e
-	}
-	km.mu.Unlock()
-	e.once.Do(func() { e.k, e.err = ttdc.NewSaturationKernel(key.s, key.n) })
-	return e.k, e.err
-}
-
 // graphKey identifies a deterministic topology build. Only the
 // seed-independent models (regular, ring, grid) are memoized; geometric
-// and random graphs differ per replication and stay per-job.
+// and random graphs differ per replication and stay per-job. At the
+// million-node end a single CSR build is seconds of work and tens of
+// megabytes; replications and duty points of one grid point must not
+// repeat it.
 type graphKey struct {
 	topology string
 	n, d     int
-}
-
-// graphMemo shares deterministic topology builds across the jobs of one
-// campaign with singleflight semantics. At the million-node end a single
-// CSR build is seconds of work and tens of megabytes; replications and
-// duty points of one grid point must not repeat it.
-type graphMemo struct {
-	mu sync.Mutex
-	m  map[graphKey]*graphEntry
-}
-
-type graphEntry struct {
-	once sync.Once
-	g    *ttdc.Graph
-	err  error
-}
-
-func (gm *graphMemo) get(k graphKey, build func() (*ttdc.Graph, error)) (*ttdc.Graph, error) {
-	gm.mu.Lock()
-	e, ok := gm.m[k]
-	if !ok {
-		e = &graphEntry{}
-		gm.m[k] = e
-	}
-	gm.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = build() })
-	return e.g, e.err
 }
 
 // ccKernelKey identifies a convergecast fast-path kernel: schedule and
@@ -177,74 +121,58 @@ type ccKernelKey struct {
 	sink int
 }
 
-// ccKernelMemo shares convergecast kernels across a campaign's
-// replications with singleflight semantics.
-type ccKernelMemo struct {
-	mu sync.Mutex
-	m  map[ccKernelKey]*ccKernelEntry
-}
-
-type ccKernelEntry struct {
-	once sync.Once
-	k    *ttdc.ConvergecastKernel
-	err  error
-}
-
-func (km *ccKernelMemo) get(key ccKernelKey) (*ttdc.ConvergecastKernel, error) {
-	km.mu.Lock()
-	e, ok := km.m[key]
-	if !ok {
-		e = &ccKernelEntry{}
-		km.m[key] = e
-	}
-	km.mu.Unlock()
-	e.once.Do(func() { e.k, e.err = ttdc.NewConvergecastKernel(key.g, key.s, key.sink) })
-	return e.k, e.err
+// campaign is what the jobs of one campaign share: the cross-campaign
+// polynomial cache, whose Limits budget every construction, and one memo
+// per build layer. Replications, topologies and duty points of a grid
+// point pay for each schedule, deterministic graph and kernel once, then
+// run against the shared immutable result across the worker pool.
+type campaign struct {
+	cache     *schedcache.Cache
+	scheds    memo[schedKey, *ttdc.Schedule]
+	graphs    memo[graphKey, *ttdc.Graph]
+	kernels   memo[kernelKey, *ttdc.SaturationKernel]
+	ccKernels memo[ccKernelKey, *ttdc.ConvergecastKernel]
 }
 
 // Jobs expands the campaign and binds each spec to an executable engine
 // Job. Job i's seed is stats.DeriveSeed(c.Seed, i), so a job's result
 // depends only on the campaign seed and its own index — never on worker
-// count or completion order. cache, when non-nil, additionally memoizes
-// polynomial schedule construction across campaigns; within the campaign
-// every construction is shared through a per-campaign memo regardless.
+// count or completion order. cache memoizes polynomial schedule
+// construction across campaigns, and its Limits budget every construction
+// the campaign asks for; nil means a private cache under
+// schedcache.TrustedLimits. Within the campaign every construction is
+// shared through a per-campaign memo regardless.
 func Jobs(c *Campaign, cache *schedcache.Cache) ([]Job, error) {
 	specs, err := c.Expand()
 	if err != nil {
 		return nil, err
 	}
-	seed := c.Seed
-	memo := &schedMemo{m: make(map[schedKey]*schedEntry)}
-	kernels := &kernelMemo{m: make(map[kernelKey]*kernelEntry)}
-	graphs := &graphMemo{m: make(map[graphKey]*graphEntry)}
-	ccKernels := &ccKernelMemo{m: make(map[ccKernelKey]*ccKernelEntry)}
+	if cache == nil {
+		cache = schedcache.NewTrusted(0)
+	}
+	shared := &campaign{cache: cache}
 	jobs := make([]Job, len(specs))
 	for i, spec := range specs {
 		spec := spec
-		jobSeed := stats.DeriveSeed(seed, uint64(i))
+		jobSeed := stats.DeriveSeed(c.Seed, uint64(i))
 		jobs[i] = Job{
 			ID:   spec.ID(),
 			Seed: jobSeed,
 			Run: func(ctx context.Context) (any, error) {
-				return executeJob(ctx, spec, jobSeed, cache, memo, kernels, graphs, ccKernels)
+				return shared.run(ctx, spec, jobSeed)
 			},
 		}
 	}
 	return jobs, nil
 }
 
-// ExecuteJob runs one grid point: build (or fetch) the schedule, build the
+// run executes one grid point: build (or fetch) the schedule, build the
 // topology from the job seed, run the workload, and collect metrics.
-func ExecuteJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache) (*Metrics, error) {
-	return executeJob(ctx, spec, seed, cache, nil, nil, nil, nil)
-}
-
-func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcache.Cache,
-	memo *schedMemo, kernels *kernelMemo, graphs *graphMemo, ccKernels *ccKernelMemo) (*Metrics, error) {
+func (c *campaign) run(ctx context.Context, spec JobSpec, seed uint64) (*Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := buildSchedule(spec, cache, memo)
+	s, err := c.schedule(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +185,7 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 		m.AvgThroughputFloat = ttdc.RatFloat(avg)
 		return m, nil
 	}
-	g, err := buildTopology(spec, seed, graphs)
+	g, err := c.graph(spec, seed)
 	if err != nil {
 		m.Release()
 		return nil, err
@@ -266,19 +194,16 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 	m.Edges = g.EdgeCount()
 	switch spec.Workload {
 	case "saturation":
-		var res *ttdc.SaturationResult
-		if kernels != nil {
-			// Campaign path: share one kernel per (schedule, node count)
-			// across the worker pool and shard the topologies over it.
-			k, kerr := kernels.get(kernelKey{s: s, n: g.N()})
-			if kerr != nil {
-				m.Release()
-				return nil, kerr
-			}
-			res, err = k.RunSharded(g, spec.Frames, ttdc.DefaultEnergy(), spec.Shards)
-		} else {
-			res, err = ttdc.RunSaturationSharded(g, s, spec.Frames, ttdc.DefaultEnergy(), spec.Shards)
+		// One kernel per (schedule, node count), shared across the worker
+		// pool; the topologies shard their runs over it.
+		k, err := c.kernels.get(kernelKey{s: s, n: g.N()}, func() (*ttdc.SaturationKernel, error) {
+			return ttdc.NewSaturationKernel(s, g.N())
+		})
+		if err != nil {
+			m.Release()
+			return nil, err
 		}
+		res, err := k.RunSharded(g, spec.Frames, ttdc.DefaultEnergy(), spec.Shards)
 		if err != nil {
 			m.Release()
 			return nil, err
@@ -294,10 +219,12 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 			Shards: spec.Shards,
 		}
 		var res *ttdc.ConvergecastResult
-		if ccKernels != nil && deterministicTopology(spec.Topology) {
-			// Campaign path: the graph came from the campaign memo, so the
-			// (schedule, graph, sink) kernel is shared across replications.
-			k, kerr := ccKernels.get(ccKernelKey{s: s, g: g, sink: spec.Sink})
+		if deterministicTopology(spec.Topology) {
+			// The graph came from the campaign memo, so the (schedule,
+			// graph, sink) kernel is shared across replications.
+			k, kerr := c.ccKernels.get(ccKernelKey{s: s, g: g, sink: spec.Sink}, func() (*ttdc.ConvergecastKernel, error) {
+				return ttdc.NewConvergecastKernel(g, s, spec.Sink)
+			})
 			if kerr != nil {
 				m.Release()
 				return nil, kerr
@@ -338,58 +265,27 @@ func executeJob(ctx context.Context, spec JobSpec, seed uint64, cache *schedcach
 	return m, nil
 }
 
-// buildSchedule constructs the job's schedule. memo, when non-nil, shares
-// the build across the campaign's jobs; polynomial bases additionally go
-// through the cross-campaign cache when one is supplied. Both layers are
+// schedule returns the job's schedule, built once per campaign. Polynomial
+// bases additionally go through the cross-campaign cache; every other
+// construction is built under the same cache's Limits. Both layers are
 // singleflight under concurrency.
-func buildSchedule(spec JobSpec, cache *schedcache.Cache, memo *schedMemo) (*ttdc.Schedule, error) {
+func (c *campaign) schedule(spec JobSpec) (*ttdc.Schedule, error) {
 	strategy, err := schedcache.ParseStrategy(spec.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	if memo != nil {
-		k := schedKey{
-			construction: spec.Construction,
-			n:            spec.N, d: spec.D,
-			alphaT: spec.AlphaT, alphaR: spec.AlphaR,
-			strategy: schedcache.StrategyName(strategy),
-		}
-		return memo.get(k, func() (*ttdc.Schedule, error) {
-			return buildScheduleDirect(spec, strategy, cache)
-		})
+	k := schedKey{
+		construction: spec.Construction,
+		n:            spec.N, d: spec.D,
+		alphaT: spec.AlphaT, alphaR: spec.AlphaR,
+		strategy: schedcache.StrategyName(strategy),
 	}
-	return buildScheduleDirect(spec, strategy, cache)
-}
-
-func buildScheduleDirect(spec JobSpec, strategy ttdc.DivisionStrategy, cache *schedcache.Cache) (*ttdc.Schedule, error) {
-	if spec.Construction == "polynomial" && cache != nil {
-		// Get validates against the cache's own limits — serving bounds
-		// for HTTP-fed caches, TrustedLimits for the local CLIs.
+	return c.scheds.get(k, func() (*ttdc.Schedule, error) {
 		key := schedcache.Key{N: spec.N, D: spec.D, AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, Strategy: strategy}
-		return cache.Get(key)
-	}
-	var base *ttdc.Schedule
-	var err error
-	switch spec.Construction {
-	case "tdma":
-		base, err = ttdc.TDMA(spec.N)
-	case "polynomial":
-		base, err = ttdc.PolynomialSchedule(spec.N, spec.D)
-	case "steiner":
-		base, err = ttdc.SteinerSchedule(spec.N)
-	case "projective":
-		base, err = ttdc.ProjectiveSchedule(spec.N, spec.D)
-	default:
-		return nil, fmt.Errorf("engine: unknown construction %q", spec.Construction)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if spec.AlphaT == 0 && spec.AlphaR == 0 {
-		return base, nil
-	}
-	return ttdc.Construct(base, ttdc.ConstructOptions{
-		AlphaT: spec.AlphaT, AlphaR: spec.AlphaR, D: spec.D, Strategy: strategy,
+		if spec.Construction == "polynomial" {
+			return c.cache.Get(key)
+		}
+		return c.cache.Limits().Build(spec.Construction, key)
 	})
 }
 
@@ -400,46 +296,16 @@ func deterministicTopology(kind string) bool {
 	return kind == "regular" || kind == "ring" || kind == "grid"
 }
 
-// buildTopology realizes the job's graph. The RNG is rooted at the job
-// seed, so randomized topologies differ across replications but are
-// identical across reruns of the same job. Deterministic models go through
-// the campaign graph memo when one is supplied; the seeded models are
-// rejected above the dense-representation limit, where their per-node
-// bitsets would cost O(n²) bits.
-func buildTopology(spec JobSpec, seed uint64, graphs *graphMemo) (*ttdc.Graph, error) {
-	if graphs != nil && deterministicTopology(spec.Topology) {
-		return graphs.get(graphKey{topology: spec.Topology, n: spec.N, d: spec.D},
-			func() (*ttdc.Graph, error) { return buildTopologyDirect(spec, seed) })
+// graph realizes the job's graph. The RNG is rooted at the job seed,
+// so randomized topologies differ across replications but are identical
+// across reruns of the same job; deterministic models are built once per
+// campaign.
+func (c *campaign) graph(spec JobSpec, seed uint64) (*ttdc.Graph, error) {
+	build := func() (*ttdc.Graph, error) {
+		return topology.Build(spec.Topology, spec.N, spec.D, spec.Radius, seed)
 	}
-	return buildTopologyDirect(spec, seed)
-}
-
-func buildTopologyDirect(spec JobSpec, seed uint64) (*ttdc.Graph, error) {
-	switch spec.Topology {
-	case "regular":
-		return ttdc.Regularish(spec.N, spec.D), nil
-	case "ring":
-		return ttdc.Ring(spec.N), nil
-	case "grid":
-		side := 1
-		for side*side < spec.N {
-			side++
-		}
-		return ttdc.Grid(side, side), nil
+	if deterministicTopology(spec.Topology) {
+		return c.graphs.get(graphKey{topology: spec.Topology, n: spec.N, d: spec.D}, build)
 	}
-	if spec.N > topology.DenseLimit {
-		return nil, fmt.Errorf("engine: topology %q builds dense per-node bitsets; n = %d exceeds the dense limit %d (use regular, ring, or grid at this scale)",
-			spec.Topology, spec.N, topology.DenseLimit)
-	}
-	rng := stats.NewRNG(seed)
-	switch spec.Topology {
-	case "geometric":
-		dep := ttdc.RandomGeometric(spec.N, spec.Radius, rng)
-		dep.Graph.EnforceMaxDegree(spec.D, rng)
-		return dep.Graph, nil
-	case "random":
-		return ttdc.RandomBoundedDegree(spec.N, spec.D, spec.N/4, rng), nil
-	default:
-		return nil, fmt.Errorf("engine: unknown topology %q", spec.Topology)
-	}
+	return build()
 }

@@ -49,16 +49,16 @@ func runE16() (*Result, error) {
 		if sh.g.MaxDegree() > d {
 			return nil, fmt.Errorf("E16: %s degree %d exceeds class", sh.name, sh.g.MaxDegree())
 		}
-		nsRes, err := sim.RunDiscovery(sh.g, sim.ScheduleProtocol{S: ns}, 1, sim.DefaultEnergy(), 1)
+		nsRes, err := sim.RunDiscovery(sh.g, sim.ScheduleProtocol{S: ns}, 1, sim.DefaultEnergy())
 		if err != nil {
 			return nil, err
 		}
-		dutyRes, err := sim.RunDiscovery(sh.g, sim.ScheduleProtocol{S: duty}, 1, sim.DefaultEnergy(), 1)
+		dutyRes, err := sim.RunDiscovery(sh.g, sim.ScheduleProtocol{S: duty}, 1, sim.DefaultEnergy())
 		if err != nil {
 			return nil, err
 		}
 		budget := duty.L() // give ALOHA the same slot budget as the duty frame
-		alRes, err := sim.RunDiscovery(sh.g, sim.NewAloha(0.3, 7), budget, sim.DefaultEnergy(), 7)
+		alRes, err := sim.RunDiscovery(sh.g, sim.NewAloha(0.3, 7), budget, sim.DefaultEnergy())
 		if err != nil {
 			return nil, err
 		}

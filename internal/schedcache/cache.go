@@ -11,6 +11,11 @@
 // errors are returned to every waiter but never cached, so a transient
 // bad key does not poison the table. Hit/miss/eviction/construction
 // counters are maintained atomically and exposed via Stats.
+//
+// Limits.Build is the one place a schedule is built by construction name
+// (tdma, polynomial, steiner, projective): the cache, the campaign engine
+// and the CLIs all call it, so every construction is validated and
+// budgeted the same way. The cache itself serves polynomial bases.
 package schedcache
 
 import (
@@ -19,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cff"
 	"repro/internal/core"
 )
 
@@ -65,8 +69,8 @@ type Limits struct {
 // schedule.
 var ServingLimits = Limits{MaxN: MaxN, MaxCells: maxBuildCells}
 
-// TrustedLimits is for operator-driven local tooling (ttdcbatch,
-// ttdcsweep): wide enough for the million-node scale campaigns the CSR
+// TrustedLimits is for operator-driven local tooling (ttdcbatch, ttdcsim,
+// ttdcgen): wide enough for the million-node scale campaigns the CSR
 // topologies and sharded kernels make tractable — n = 10^6 at d = 4
 // resolves to L = 289, ~3·10^8 cells — while still refusing typo-sized
 // grids.
@@ -88,14 +92,24 @@ func (lim Limits) Validate(k Key) error {
 	if k.D < 1 || k.D > k.N-1 {
 		return fmt.Errorf("schedcache: D = %d outside [1, %d]", k.D, k.N-1)
 	}
-	if (k.AlphaT == 0) != (k.AlphaR == 0) {
-		return fmt.Errorf("schedcache: set both alphaT and alphaR or neither (got %d, %d)", k.AlphaT, k.AlphaR)
-	}
-	if k.AlphaT < 0 || k.AlphaR < 0 {
-		return fmt.Errorf("schedcache: negative caps (%d, %d)", k.AlphaT, k.AlphaR)
+	if err := ValidateCaps(k.AlphaT, k.AlphaR); err != nil {
+		return err
 	}
 	if k.Strategy != core.Sequential && k.Strategy != core.Balanced {
 		return fmt.Errorf("schedcache: unknown division strategy %d", int(k.Strategy))
+	}
+	return nil
+}
+
+// ValidateCaps checks a duty point on its own: both caps zero (the
+// non-sleeping base) or both positive. Limits.Validate applies it to every
+// key; campaign decoding applies it to each duty point before expansion.
+func ValidateCaps(alphaT, alphaR int) error {
+	if (alphaT == 0) != (alphaR == 0) {
+		return fmt.Errorf("schedcache: set both caps alphaT and alphaR or neither (got %d, %d)", alphaT, alphaR)
+	}
+	if alphaT < 0 || alphaR < 0 {
+		return fmt.Errorf("schedcache: negative duty caps (%d, %d)", alphaT, alphaR)
 	}
 	return nil
 }
@@ -275,7 +289,7 @@ func (c *Cache) Get(k Key) (*core.Schedule, error) {
 	c.mu.Unlock()
 
 	c.constructions.Add(1)
-	s, err := BuildLimited(k, c.limits)
+	s, err := c.limits.Build("polynomial", k)
 
 	c.mu.Lock()
 	delete(c.inflight, k)
@@ -328,80 +342,4 @@ func ScheduleBytes(s *core.Schedule) int64 {
 	nodeWords := (l + 63) / 64
 	sets := 2*l + 2*n
 	return 8*(2*l*slotWords+2*n*nodeWords) + sets*setOverhead
-}
-
-// BaseFrameLength returns the closed-form frame length q² of the
-// polynomial base schedule for N(n, D) without materializing anything —
-// only the O(q) parameter search runs. The background warmer budgets a
-// whole duty-point lattice from this plus PredictedCells before building
-// a single schedule.
-func BaseFrameLength(n, d int) (int, error) {
-	params, err := cff.FindPolynomialParams(n, d)
-	if err != nil {
-		return 0, err
-	}
-	return params.FrameLength(), nil
-}
-
-// PredictedCells returns the n×L footprint key k will occupy once built,
-// given its class's base schedule ns: Theorem 7's frame length for
-// duty-cycled keys, ns.L() itself for the base. This is the same closed
-// form Build checks against its budget, so a warmer that filters on it
-// never submits a key Build would refuse.
-func PredictedCells(k Key, ns *core.Schedule) int64 {
-	if k.AlphaT == 0 && k.AlphaR == 0 {
-		return int64(k.N) * int64(ns.L())
-	}
-	aStar := core.OptimalTransmittersCapped(k.N, k.D, k.AlphaT)
-	return int64(k.N) * int64(core.ConstructedFrameLength(ns, aStar, k.AlphaR))
-}
-
-// Build constructs the schedule for k without any caching: the polynomial
-// (orthogonal-array) topology-transparent non-sleeping schedule for
-// N(n, D), duty-cycled through the paper's Construct algorithm when the
-// (αT, αR) caps are set. Exported so benchmarks and servers can measure
-// the cold path the cache amortizes. Budgeted by ServingLimits;
-// BuildLimited takes explicit bounds.
-func Build(k Key) (*core.Schedule, error) { return BuildLimited(k, ServingLimits) }
-
-// BuildLimited is Build with an explicit n×L budget.
-func BuildLimited(k Key, lim Limits) (*core.Schedule, error) {
-	// The parameter search is a cheap scalar loop; budget-check the
-	// resulting frame before materializing n member sets over it.
-	params, err := cff.FindPolynomialParams(k.N, k.D)
-	if err != nil {
-		return nil, err
-	}
-	if cost := int64(k.N) * int64(params.FrameLength()); cost > lim.MaxCells {
-		return nil, fmt.Errorf("schedcache: base schedule for N(%d, %d) needs frame length %d; n×L = %d exceeds the build budget %d",
-			k.N, k.D, params.FrameLength(), cost, lim.MaxCells)
-	}
-	fam, err := cff.PolynomialFor(k.N, k.D)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := core.ScheduleFromFamily(fam.L, fam.Sets)
-	if err != nil {
-		return nil, err
-	}
-	if k.AlphaT == 0 && k.AlphaR == 0 {
-		return ns, nil
-	}
-	if k.AlphaT+k.AlphaR > k.N {
-		return nil, fmt.Errorf("schedcache: Construct requires αT + αR <= n (got %d + %d > %d)", k.AlphaT, k.AlphaR, k.N)
-	}
-	// Theorem 7 gives the duty-cycled frame length in closed form; check
-	// it against the budget before running the expansion.
-	aStar := core.OptimalTransmittersCapped(k.N, k.D, k.AlphaT)
-	lFinal := core.ConstructedFrameLength(ns, aStar, k.AlphaR)
-	if cost := int64(k.N) * int64(lFinal); cost > lim.MaxCells {
-		return nil, fmt.Errorf("schedcache: (%d, %d)-schedule for N(%d, %d) needs frame length %d; n×L = %d exceeds the build budget %d",
-			k.AlphaT, k.AlphaR, k.N, k.D, lFinal, cost, lim.MaxCells)
-	}
-	return core.Construct(ns, core.ConstructOptions{
-		AlphaT:   k.AlphaT,
-		AlphaR:   k.AlphaR,
-		D:        k.D,
-		Strategy: k.Strategy,
-	})
 }

@@ -33,7 +33,7 @@ func TestGetBuildsAndCaches(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Constructions != 1 || st.Entries != 1 {
 		t.Fatalf("stats after hit+miss: %+v", st)
 	}
-	want, err := Build(k)
+	want, err := ServingLimits.Build("polynomial", k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func BenchmarkCacheGetWarm(b *testing.B) {
 func BenchmarkBuildCold(b *testing.B) {
 	k := Key{N: 25, D: 2, AlphaT: 3, AlphaR: 5}
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(k); err != nil {
+		if _, err := ServingLimits.Build("polynomial", k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -463,7 +463,7 @@ func TestConcurrentGetEvictBytes(t *testing.T) {
 }
 
 func TestPredictedCells(t *testing.T) {
-	base, err := Build(Key{N: 25, D: 2})
+	base, err := ServingLimits.Build("polynomial", Key{N: 25, D: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,14 +472,14 @@ func TestPredictedCells(t *testing.T) {
 	}
 	// The Theorem 7 prediction must match what Construct actually builds.
 	k := Key{N: 25, D: 2, AlphaT: 3, AlphaR: 5}
-	duty, err := Build(k)
+	duty, err := ServingLimits.Build("polynomial", k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := PredictedCells(k, base), int64(25*duty.L()); got != want {
 		t.Fatalf("PredictedCells = %d, but the built schedule occupies %d", got, want)
 	}
-	l, err := BaseFrameLength(25, 2)
+	l, err := BaseFrameLength("polynomial", 25, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

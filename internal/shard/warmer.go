@@ -35,9 +35,6 @@ type WarmerConfig struct {
 	// MaxAlphaT / MaxAlphaR clip the duty-point lattice per class; 0
 	// means no clip beyond the structural αT + αR <= n.
 	MaxAlphaT, MaxAlphaR int
-	// Strategies are the division strategies to warm per duty point
-	// (default: Sequential only).
-	Strategies []core.DivisionStrategy
 	// Concurrency bounds simultaneous constructions
 	// (DefaultWarmConcurrency if 0).
 	Concurrency int
@@ -107,9 +104,6 @@ func NewWarmer(cfg WarmerConfig) (*Warmer, error) {
 	if cfg.CellBudget == 0 {
 		cfg.CellBudget = DefaultCellBudget
 	}
-	if len(cfg.Strategies) == 0 {
-		cfg.Strategies = []core.DivisionStrategy{core.Sequential}
-	}
 	if cfg.ByteBudget > 0 && cfg.Stats == nil {
 		return nil, fmt.Errorf("shard: ByteBudget needs a Stats function")
 	}
@@ -143,44 +137,42 @@ func (w *Warmer) Run(ctx context.Context) error {
 		}
 		for alphaT := 1; alphaT <= maxT; alphaT++ {
 			for alphaR := 1; alphaR <= maxR && alphaT+alphaR <= class.N; alphaR++ {
-				for _, strat := range w.cfg.Strategies {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					if w.overByteBudget() {
-						w.stoppedByBytes.Store(true)
-						return nil
-					}
-					k := schedcache.Key{N: class.N, D: class.D, AlphaT: alphaT, AlphaR: alphaR, Strategy: strat}
-					w.planned.Add(1)
-					if w.cfg.Owns != nil && !w.cfg.Owns(k) {
-						w.skippedOwnership.Add(1)
-						continue
-					}
-					cells := schedcache.PredictedCells(k, base)
-					if w.cfg.CellBudget > 0 && cellsCommitted+cells > w.cfg.CellBudget {
-						w.skippedBudget.Add(1)
-						continue
-					}
-					cellsCommitted += cells
-					w.cellsPlanned.Add(cells)
-					select {
-					case sem <- struct{}{}:
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-					wg.Add(1)
-					go func(k schedcache.Key, cells int64) {
-						defer wg.Done()
-						defer func() { <-sem }()
-						if _, err := w.cfg.Build(k); err != nil {
-							w.failed.Add(1)
-							return
-						}
-						w.warmed.Add(1)
-						w.cellsWarmed.Add(cells)
-					}(k, cells)
+				if err := ctx.Err(); err != nil {
+					return err
 				}
+				if w.overByteBudget() {
+					w.stoppedByBytes.Store(true)
+					return nil
+				}
+				k := schedcache.Key{N: class.N, D: class.D, AlphaT: alphaT, AlphaR: alphaR, Strategy: core.Sequential}
+				w.planned.Add(1)
+				if w.cfg.Owns != nil && !w.cfg.Owns(k) {
+					w.skippedOwnership.Add(1)
+					continue
+				}
+				cells := schedcache.PredictedCells(k, base)
+				if w.cfg.CellBudget > 0 && cellsCommitted+cells > w.cfg.CellBudget {
+					w.skippedBudget.Add(1)
+					continue
+				}
+				cellsCommitted += cells
+				w.cellsPlanned.Add(cells)
+				select {
+				case sem <- struct{}{}:
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+				wg.Add(1)
+				go func(k schedcache.Key, cells int64) {
+					defer wg.Done()
+					defer func() { <-sem }()
+					if _, err := w.cfg.Build(k); err != nil {
+						w.failed.Add(1)
+						return
+					}
+					w.warmed.Add(1)
+					w.cellsWarmed.Add(cells)
+				}(k, cells)
 			}
 		}
 	}

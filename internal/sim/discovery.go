@@ -36,7 +36,7 @@ type DiscoveryResult struct {
 // directed link is guaranteed discovery within the FIRST frame — the
 // saturation worst case is exactly the discovery workload. Contention
 // protocols enjoy no such bound.
-func RunDiscovery(g *topology.Graph, proto Protocol, maxFrames int, em EnergyModel, seed uint64) (*DiscoveryResult, error) {
+func RunDiscovery(g *topology.Graph, proto Protocol, maxFrames int, em EnergyModel) (*DiscoveryResult, error) {
 	n := g.N()
 	if maxFrames < 1 {
 		return nil, fmt.Errorf("sim: maxFrames = %d", maxFrames)
@@ -47,8 +47,6 @@ func RunDiscovery(g *topology.Graph, proto Protocol, maxFrames int, em EnergyMod
 		TotalLinks:   2 * g.EdgeCount(),
 	}
 	known := make(map[[2]int]bool, res.TotalLinks)
-	rng := stats.NewRNG(seed)
-	_ = rng
 
 	L := proto.FrameLen()
 	totalSlots := maxFrames * L

@@ -23,7 +23,7 @@ func TestDiscoveryCompletesInOneFrameUnderTT(t *testing.T) {
 		if tc.g.MaxDegree() > tc.d {
 			t.Fatalf("%s: topology degree %d exceeds class %d", tc.name, tc.g.MaxDegree(), tc.d)
 		}
-		res, err := RunDiscovery(tc.g, ScheduleProtocol{S: s}, 1, DefaultEnergy(), 1)
+		res, err := RunDiscovery(tc.g, ScheduleProtocol{S: s}, 1, DefaultEnergy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestDiscoveryCompletesInOneFrameUnderTT(t *testing.T) {
 func TestDiscoveryTDMA(t *testing.T) {
 	g := topology.Grid(3, 3)
 	s := tdmaSchedule(t, 9)
-	res, err := RunDiscovery(g, ScheduleProtocol{S: s}, 1, DefaultEnergy(), 1)
+	res, err := RunDiscovery(g, ScheduleProtocol{S: s}, 1, DefaultEnergy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDiscoveryALOHAHasNoBound(t *testing.T) {
 	// one "frame" (one slot) certainly cannot discover everything, and
 	// even many slots may leave links unknown.
 	g := topology.Regularish(12, 4)
-	res, err := RunDiscovery(g, NewAloha(0.5, 3), 5, DefaultEnergy(), 3)
+	res, err := RunDiscovery(g, NewAloha(0.5, 3), 5, DefaultEnergy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDiscoveryALOHAHasNoBound(t *testing.T) {
 func TestDiscoveryValidation(t *testing.T) {
 	g := topology.Ring(4)
 	s := tdmaSchedule(t, 4)
-	if _, err := RunDiscovery(g, ScheduleProtocol{S: s}, 0, DefaultEnergy(), 1); err == nil {
+	if _, err := RunDiscovery(g, ScheduleProtocol{S: s}, 0, DefaultEnergy()); err == nil {
 		t.Fatal("zero frames accepted")
 	}
 }

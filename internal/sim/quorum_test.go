@@ -76,7 +76,7 @@ func TestQuorumRendezvousWithoutCollisionFreedom(t *testing.T) {
 	// collides where the TT schedule cannot.
 	g := topology.Regularish(16, 3)
 	s := polySchedule(t, 16, 3)
-	tt, err := RunDiscovery(g, ScheduleProtocol{S: s}, 1, DefaultEnergy(), 1)
+	tt, err := RunDiscovery(g, ScheduleProtocol{S: s}, 1, DefaultEnergy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestQuorumRendezvousWithoutCollisionFreedom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunDiscovery(g, q, 1, DefaultEnergy(), 3)
+	one, err := RunDiscovery(g, q, 1, DefaultEnergy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestQuorumRendezvousWithoutCollisionFreedom(t *testing.T) {
 		t.Fatal("quorum beaconing should collide")
 	}
 	// Given many frames, quorum eventually discovers (rendezvous + luck).
-	many, err := RunDiscovery(g, q, 60, DefaultEnergy(), 3)
+	many, err := RunDiscovery(g, q, 60, DefaultEnergy())
 	if err != nil {
 		t.Fatal(err)
 	}

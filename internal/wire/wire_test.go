@@ -27,7 +27,7 @@ func frameMatrix(t testing.TB) []*Frame {
 	}
 	frames := make([]*Frame, 0, len(keys))
 	for _, k := range keys {
-		s, err := schedcache.Build(k)
+		s, err := schedcache.ServingLimits.Build("polynomial", k)
 		if err != nil {
 			t.Fatalf("Build(%+v): %v", k, err)
 		}
@@ -191,7 +191,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 }
 
 func TestEncodeRejectsInvalidFrames(t *testing.T) {
-	s, err := schedcache.Build(schedcache.Key{N: 9, D: 2})
+	s, err := schedcache.ServingLimits.Build("polynomial", schedcache.Key{N: 9, D: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

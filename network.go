@@ -172,8 +172,8 @@ type DiscoveryResult = sim.DiscoveryResult
 // RunDiscovery simulates neighbour discovery (all nodes beaconing). Under a
 // topology-transparent schedule every directed link is discovered within
 // the first frame.
-func RunDiscovery(g *Graph, p Protocol, maxFrames int, em EnergyModel, seed uint64) (*DiscoveryResult, error) {
-	return sim.RunDiscovery(g, p, maxFrames, em, seed)
+func RunDiscovery(g *Graph, p Protocol, maxFrames int, em EnergyModel) (*DiscoveryResult, error) {
+	return sim.RunDiscovery(g, p, maxFrames, em)
 }
 
 // ScaleFreeBounded grows a hub-heavy preferential-attachment graph with a
