@@ -8,6 +8,11 @@
 // seeded ones (geometric, random) are refused above 8192 nodes, and
 // parameters a model cannot satisfy are reported as errors.
 //
+// After a run, one line on stderr gives the seconds spent building the
+// schedule, the topology and (in saturation mode) the simulator kernel,
+// and running the simulation; the convergecast and flood runs build their
+// kernels inside the run. Stdout carries only the report.
+//
 // Usage:
 //
 //	ttdcgen -n 25 -D 2 -alphaT 3 -alphaR 5 | ttdcsim -topo regular -D 2 -mode saturation
@@ -19,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	ttdc "repro"
 	"repro/internal/schedcache"
@@ -59,6 +65,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	mark := time.Now()
+	lap := func() float64 {
+		now := time.Now()
+		d := now.Sub(mark).Seconds()
+		mark = now
+		return d
+	}
 	s, err := loadSchedule(stdin, *gen, schedcache.Key{N: *n, D: *d, AlphaT: *alphaT, AlphaR: *alphaR})
 	if err != nil {
 		return err
@@ -67,10 +80,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *n < nodes {
 		nodes = *n
 	}
+	scheduleS := lap()
 	g, err := topology.Build(*topo, nodes, *d, *radius, *seed)
 	if err != nil {
 		return err
 	}
+	topologyS := lap()
+	phases := fmt.Sprintf("schedule=%.3f topology=%.3f", scheduleS, topologyS)
 	fmt.Fprintf(stdout, "schedule: n=%d L=%d active=%.3f | topology: %s, %d nodes, %d edges, maxdeg %d\n",
 		s.N(), s.L(), s.ActiveFraction(), *topo, g.N(), g.EdgeCount(), g.MaxDegree())
 
@@ -86,7 +102,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	switch *mode {
 	case "saturation":
-		res, err := ttdc.RunSaturationSharded(g, s, *frames, ttdc.DefaultEnergy(), *shards)
+		k, err := ttdc.NewSaturationKernel(s, g.N())
+		if err != nil {
+			return err
+		}
+		phases += fmt.Sprintf(" kernel=%.3f", lap())
+		res, err := k.RunSharded(g, *frames, ttdc.DefaultEnergy(), *shards)
 		if err != nil {
 			return err
 		}
@@ -128,6 +149,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
+	fmt.Fprintf(stderr, "ttdcsim: seconds: %s run=%.3f\n", phases, lap())
 	return nil
 }
 

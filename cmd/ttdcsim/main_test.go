@@ -23,6 +23,24 @@ func TestRunInProcessModes(t *testing.T) {
 			if !strings.Contains(out.String(), "active fraction") {
 				t.Errorf("missing report body:\n%s", out.String())
 			}
+			// Timings go to stderr only, one line, kernel named only where
+			// it is built apart from the run.
+			if strings.Contains(out.String(), "seconds") {
+				t.Errorf("phase timings leaked into stdout:\n%s", out.String())
+			}
+			line := errOut.String()
+			want := []string{"ttdcsim: seconds: schedule=", " topology=", " run="}
+			if mode == "saturation" {
+				want = append(want, " kernel=")
+			}
+			for _, w := range want {
+				if !strings.Contains(line, w) {
+					t.Errorf("stderr %q lacks %q", line, w)
+				}
+			}
+			if strings.Count(line, "\n") != 1 {
+				t.Errorf("stderr is not one line: %q", line)
+			}
 		})
 	}
 }

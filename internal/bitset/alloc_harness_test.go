@@ -12,6 +12,7 @@ import "testing"
 var (
 	gateSinkBool  bool
 	gateSinkCount int
+	gateSinkSet   *Set
 )
 
 // allocGateHarness binds one warm call per symbol listed in the generated
@@ -23,7 +24,10 @@ func allocGateHarness(t *testing.T, sym string) func() {
 	b := FromSlice(130, []int{3, 64, 70})
 	mask := FromSlice(130, []int{0, 64, 99, 129})
 	dst := New(130)
+	m := NewMatrix(4, 130)
 	switch sym {
+	case "(*repro/internal/bitset.Matrix).Row":
+		return func() { gateSinkSet = m.Row(3) }
 	case "(*repro/internal/bitset.Set).Contains":
 		return func() { gateSinkBool = a.Contains(99) }
 	case "(*repro/internal/bitset.Set).CopyThenDifference":

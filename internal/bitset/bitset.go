@@ -215,6 +215,22 @@ func (s *Set) CopyThenDifference(a, b *Set) bool {
 	return any == 0
 }
 
+// ComplementOf overwrites s with [0, Cap()) \ o. o is treated as
+// zero-padded beyond its own capacity, and the bits at or above Cap() in
+// s's last word stay clear, so s.ComplementOf(s) complements in place.
+func (s *Set) ComplementOf(o *Set) {
+	n := minInt(len(s.words), len(o.words))
+	for i := 0; i < n; i++ {
+		s.words[i] = ^o.words[i]
+	}
+	for i := n; i < len(s.words); i++ {
+		s.words[i] = ^uint64(0)
+	}
+	if r := s.cap % wordBits; r != 0 {
+		s.words[len(s.words)-1] &= 1<<uint(r) - 1
+	}
+}
+
 // Union returns a new set containing the union of s and o, with the larger
 // of the two capacities.
 func Union(s, o *Set) *Set {

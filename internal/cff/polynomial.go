@@ -78,26 +78,40 @@ func Polynomial(n int, p PolynomialParams) (*Family, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cff: bad field order %d: %w", p.Q, err)
 	}
-	// Exp/log tables amortize across the n·q polynomial evaluations.
+	// Nodes base..base+q-1 share every coefficient but the constant one c,
+	// so f(e_j) = g_j + c where g_j is the block's evaluation with c = 0:
+	// one Horner evaluation per block and point, then a table add per node.
 	tables := gf.NewTables(field)
 	q := p.Q
-	L := q * q
+	add := make([]int, q*q)
+	for a := 0; a < q; a++ {
+		for b := 0; b < q; b++ {
+			add[a*q+b] = field.Add(a, b)
+		}
+	}
+	m := bitset.NewMatrix(n, q*q)
 	sets := make([]*bitset.Set, n)
 	coeffs := make([]int, p.K+1)
-	for x := 0; x < n; x++ {
-		v := x
+	g := make([]int, q)
+	for base := 0; base < n; base += q {
+		v := base
 		for i := range coeffs {
 			coeffs[i] = v % q
 			v /= q
 		}
-		s := bitset.New(L)
-		for j := 0; j < q; j++ {
-			s.Add(q*j + tables.Eval(coeffs, j))
+		for j := range g {
+			g[j] = tables.Eval(coeffs, j)
 		}
-		sets[x] = s
+		for c := 0; c < q && base+c < n; c++ {
+			s := m.Row(base + c)
+			for j, gj := range g {
+				s.Add(q*j + add[gj*q+c])
+			}
+			sets[base+c] = s
+		}
 	}
 	return &Family{
-		L:    L,
+		L:    q * q,
 		Sets: sets,
 		Name: fmt.Sprintf("polynomial(q=%d,k=%d)", p.Q, p.K),
 	}, nil

@@ -89,11 +89,18 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 		sizeT = OptimalTransmittersCapped(n, opts.D, opts.AlphaT)
 	}
 
+	// Theorem 7 gives the output frame length exactly, so the slot slabs
+	// are sized once and filled in place.
+	l := ConstructedFrameLength(ns, sizeT, opts.AlphaR)
+	if l == 0 {
+		return nil, fmt.Errorf("core: Construct produced an empty schedule (no slot has transmitters)")
+	}
+	out := newSchedule(n, l)
 	div := newDivider(n, opts.Strategy)
-	var outT, outR []*bitset.Set
+	k := 0
 	for i := 0; i < ns.L(); i++ {
-		tElems := ns.t[i].Elements()
-		rElems := ns.r[i].Elements() // == V_n - T[i] for non-sleeping input
+		tElems := ns.T(i).Elements()
+		rElems := ns.R(i).Elements() // == V_n - T[i] for non-sleeping input
 		if len(tElems) == 0 {
 			// A slot nobody transmits in contributes nothing; Figure 2's
 			// loop would emit k_T = 0 subsets. Skip it.
@@ -103,21 +110,23 @@ func Construct(ns *Schedule, opts ConstructOptions) (*Schedule, error) {
 		rSubsets := div.divideR(rElems, opts.AlphaR)
 		for _, ts := range tSubsets {
 			for _, rsub := range rSubsets {
-				tSet := bitset.FromSlice(n, ts)
-				rSet := bitset.FromSlice(n, rsub)
+				tSet, rSet := out.T(k), out.R(k)
+				for _, x := range ts {
+					tSet.Add(x)
+				}
+				for _, x := range rsub {
+					rSet.Add(x)
+				}
 				div.pad(rSet, tSet, opts.AlphaR)
-				outT = append(outT, tSet)
-				outR = append(outR, rSet)
+				k++
 			}
 		}
 	}
-	if len(outT) == 0 {
-		return nil, fmt.Errorf("core: Construct produced an empty schedule (no slot has transmitters)")
-	}
-	out, err := FromSets(n, outT, outR)
-	if err != nil {
+	if err := out.checkDisjoint(); err != nil {
 		return nil, fmt.Errorf("core: Construct internal error: %w", err)
 	}
+	out.t.TransposeInto(out.tran)
+	out.r.TransposeInto(out.recv)
 	return out, nil
 }
 

@@ -31,9 +31,9 @@ func checkRequirement1Naive(s *Schedule, d int) *Witness {
 			}
 		}
 		combin.CombinationsOf(others, d, func(y []int) bool {
-			fs.Copy(s.tran[x])
+			fs.Copy(s.Tran(x))
 			for _, v := range y {
-				fs.DifferenceWith(s.tran[v])
+				fs.DifferenceWith(s.Tran(v))
 			}
 			if fs.Empty() {
 				found = &Witness{X: x, Y: append([]int(nil), y...), K: -1}
@@ -71,16 +71,16 @@ func checkRequirement3NodeNaive(s *Schedule, d, x int) *Witness {
 	fs := bitset.New(s.L())
 	var found *Witness
 	combin.CombinationsOf(others, d, func(y []int) bool {
-		fs.Copy(s.tran[x])
+		fs.Copy(s.Tran(x))
 		for _, v := range y {
-			fs.DifferenceWith(s.tran[v])
+			fs.DifferenceWith(s.Tran(v))
 		}
 		if fs.Empty() {
 			found = &Witness{X: x, Y: append([]int(nil), y...), K: -1}
 			return false
 		}
 		for k, v := range y {
-			if !s.recv[v].Intersects(fs) {
+			if !s.Recv(v).Intersects(fs) {
 				found = &Witness{X: x, Y: append([]int(nil), y...), K: k}
 				return false
 			}

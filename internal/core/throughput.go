@@ -36,18 +36,34 @@ func AvgThroughputBruteForce(s *Schedule, d int) *big.Rat {
 //
 //	Thr^ave = Σ_i |T[i]|·|R[i]|·C(n-|T[i]|-1, D-1) / (n(n-1)·C(n-2,D-1)·L)
 //
-// Cost is Θ(L) big-integer operations.
+// Slots with the same |T[i]| share the binomial factor, so the sum is
+// taken per distinct transmitter count t as t·C(n-t-1, D-1)·Σ|R[i]|: one
+// pass of popcounts, then one big-integer term per distinct t, of which a
+// constructed frame has few.
 func AvgThroughput(s *Schedule, d int) *big.Rat {
 	validateD(s.n, d)
-	num := new(big.Int)
-	term := new(big.Int)
+	slot := make(map[int]int) // |T[i]| -> index into counts and rsum
+	var counts []int
+	var rsum []int64
 	for i := 0; i < s.L(); i++ {
-		ti := s.t[i].Count()
-		ri := s.r[i].Count()
+		ti := s.T(i).Count()
+		ri := s.R(i).Count()
 		if ti == 0 || ri == 0 {
 			continue
 		}
-		term.Mul(big.NewInt(int64(ti)), big.NewInt(int64(ri)))
+		j, ok := slot[ti]
+		if !ok {
+			j = len(counts)
+			slot[ti] = j
+			counts = append(counts, ti)
+			rsum = append(rsum, 0)
+		}
+		rsum[j] += int64(ri)
+	}
+	num := new(big.Int)
+	term := new(big.Int)
+	for j, ti := range counts {
+		term.Mul(big.NewInt(int64(ti)), big.NewInt(rsum[j]))
 		term.Mul(term, combin.Binomial(s.n-ti-1, d-1))
 		num.Add(num, term)
 	}
@@ -212,7 +228,7 @@ func Theorem8LowerBound(ns *Schedule, d, alphaT, alphaR int) *big.Rat {
 	min := ns.MinTransmitters()
 	a1, a2 := 0, 0
 	for i := 0; i < ns.L(); i++ {
-		if ns.t[i].Count() < aStar {
+		if ns.T(i).Count() < aStar {
 			a1++
 		} else {
 			a2++
@@ -258,7 +274,7 @@ func Theorem9Bound(ns *Schedule, d, alphaT, alphaR int) *big.Rat {
 func ConstructedFrameLength(ns *Schedule, aStar, alphaR int) int {
 	total := 0
 	for i := 0; i < ns.L(); i++ {
-		ti := ns.t[i].Count()
+		ti := ns.T(i).Count()
 		total += combin.CeilDiv(ti, aStar) * combin.CeilDiv(ns.n-ti, alphaR)
 	}
 	return total

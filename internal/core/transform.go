@@ -35,11 +35,11 @@ func PermuteNodes(s *Schedule, perm []int) (*Schedule, error) {
 	for i := 0; i < s.L(); i++ {
 		t[i] = bitset.New(n)
 		r[i] = bitset.New(n)
-		s.t[i].ForEach(func(x int) bool {
+		s.T(i).ForEach(func(x int) bool {
 			t[i].Add(perm[x])
 			return true
 		})
-		s.r[i].ForEach(func(x int) bool {
+		s.R(i).ForEach(func(x int) bool {
 			r[i].Add(perm[x])
 			return true
 		})
@@ -57,8 +57,8 @@ func RotateSlots(s *Schedule, k int) *Schedule {
 	t := make([]*bitset.Set, L)
 	r := make([]*bitset.Set, L)
 	for i := 0; i < L; i++ {
-		t[i] = s.t[(i+k)%L]
-		r[i] = s.r[(i+k)%L]
+		t[i] = s.T((i + k) % L)
+		r[i] = s.R((i + k) % L)
 	}
 	out, err := FromSets(s.n, t, r)
 	if err != nil {
@@ -77,13 +77,9 @@ func Concat(a, b *Schedule) (*Schedule, error) {
 	if a.n != b.n {
 		return nil, fmt.Errorf("core: Concat universe mismatch %d != %d", a.n, b.n)
 	}
-	t := make([]*bitset.Set, 0, a.L()+b.L())
-	r := make([]*bitset.Set, 0, a.L()+b.L())
-	t = append(t, a.t...)
-	t = append(t, b.t...)
-	r = append(r, a.r...)
-	r = append(r, b.r...)
-	return FromSets(a.n, t, r)
+	t, r := a.slotSets()
+	bt, br := b.slotSets()
+	return FromSets(a.n, append(t, bt...), append(r, br...))
 }
 
 // Repeat returns the schedule whose frame is s's frame played k times.
@@ -94,11 +90,12 @@ func Repeat(s *Schedule, k int) (*Schedule, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: Repeat count %d < 1", k)
 	}
+	st, sr := s.slotSets()
 	t := make([]*bitset.Set, 0, k*s.L())
 	r := make([]*bitset.Set, 0, k*s.L())
 	for j := 0; j < k; j++ {
-		t = append(t, s.t...)
-		r = append(r, s.r...)
+		t = append(t, st...)
+		r = append(r, sr...)
 	}
 	return FromSets(s.n, t, r)
 }
@@ -117,13 +114,13 @@ func Restrict(s *Schedule, m int) (*Schedule, error) {
 	for i := 0; i < s.L(); i++ {
 		t[i] = bitset.New(m)
 		r[i] = bitset.New(m)
-		s.t[i].ForEach(func(x int) bool {
+		s.T(i).ForEach(func(x int) bool {
 			if x < m {
 				t[i].Add(x)
 			}
 			return true
 		})
-		s.r[i].ForEach(func(x int) bool {
+		s.R(i).ForEach(func(x int) bool {
 			if x < m {
 				r[i].Add(x)
 			}

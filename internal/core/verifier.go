@@ -113,8 +113,8 @@ func NewVerifier(s *Schedule, d int) *Verifier {
 	v.tranW = make([][]uint64, s.n)
 	v.recvW = make([][]uint64, s.n)
 	for x := 0; x < s.n; x++ {
-		v.tranW[x] = s.tran[x].Words()
-		v.recvW[x] = s.recv[x].Words()
+		v.tranW[x] = s.Tran(x).Words()
+		v.recvW[x] = s.Recv(x).Words()
 	}
 	v.free = make([]*bitset.Set, d)
 	v.freeW = make([][]uint64, d)
@@ -205,15 +205,15 @@ func (v *Verifier) leafSubset(prefix []int, pos int) []int {
 // kernel does, returning its witness (or nil if yv satisfies Requirement 3
 // for transmitter v.x). It takes ownership of yv.
 func (v *Verifier) evalReq3(yv []int) *Witness {
-	v.fsSet.Copy(v.s.tran[v.x])
+	v.fsSet.Copy(v.s.Tran(v.x))
 	for _, u := range yv {
-		v.fsSet.DifferenceWith(v.s.tran[u])
+		v.fsSet.DifferenceWith(v.s.Tran(u))
 	}
 	if v.fsSet.Empty() {
 		return &Witness{X: v.x, Y: yv, K: -1}
 	}
 	for k, u := range yv {
-		if !v.s.recv[u].Intersects(v.fsSet) {
+		if !v.s.Recv(u).Intersects(v.fsSet) {
 			return &Witness{X: v.x, Y: yv, K: k}
 		}
 	}
@@ -263,14 +263,14 @@ func (v *Verifier) Requirement1Node(x int) *Witness {
 		v.req1Leaves(v.tranW[x], nil, 0)
 		return v.witness
 	}
-	v.free[0].Copy(v.s.tran[x])
+	v.free[0].Copy(v.s.Tran(x))
 	v.enum.WalkKSubsets(len(v.others), v.d, v.visitReq1)
 	return v.witness
 }
 
 func (v *Verifier) stepReq1(prefix []int) combin.WalkControl {
 	t := len(prefix)
-	if v.free[t].CopyThenDifference(v.free[t-1], v.s.tran[v.others[prefix[t-1]]]) {
+	if v.free[t].CopyThenDifference(v.free[t-1], v.s.Tran(v.others[prefix[t-1]])) {
 		// No free slot left at depth t: every completion has an empty
 		// free-slot set, and Requirement 1 only tests condition (1), so
 		// the first completion with K = -1 is the naive witness.
@@ -337,14 +337,14 @@ func (v *Verifier) Requirement3Node(x int) *Witness {
 		v.req3Leaves(v.tranW[x], nil, 0)
 		return v.witness
 	}
-	v.free[0].Copy(v.s.tran[x])
+	v.free[0].Copy(v.s.Tran(x))
 	v.enum.WalkKSubsets(len(v.others), v.d, v.visitReq3)
 	return v.witness
 }
 
 func (v *Verifier) stepReq3(prefix []int) combin.WalkControl {
 	t := len(prefix)
-	if v.free[t].CopyThenDifference(v.free[t-1], v.s.tran[v.others[prefix[t-1]]]) {
+	if v.free[t].CopyThenDifference(v.free[t-1], v.s.Tran(v.others[prefix[t-1]])) {
 		v.witness = v.prunedReq3Witness(prefix)
 		return combin.WalkStop
 	}
@@ -474,8 +474,8 @@ func (v *Verifier) Requirement2() *Req2Witness {
 				}
 				continue
 			}
-			v.sigma.Copy(v.s.tran[x])
-			v.sigma.IntersectWith(v.s.recv[y])
+			v.sigma.Copy(v.s.Tran(x))
+			v.sigma.IntersectWith(v.s.Recv(y))
 			if k == 0 {
 				// The empty interferer set covers σ(x, y) iff σ(x, y) = ∅.
 				if v.sigma.Empty() {
@@ -587,7 +587,7 @@ func (v *Verifier) minThroughputNode(x int) int {
 		}
 		if v.k == 0 {
 			// D == 1: S = ∅, so |𝒯| = |(tran(x) \ tran(y)) ∩ recv(y)|.
-			c := v.s.tran[x].DifferenceIntersectionCount(v.s.tran[y], v.s.recv[y])
+			c := v.s.Tran(x).DifferenceIntersectionCount(v.s.Tran(y), v.s.Recv(y))
 			if v.minSlots < 0 || c < v.minSlots {
 				v.minSlots = c
 			}
@@ -610,8 +610,8 @@ func (v *Verifier) minThroughputNode(x int) int {
 			v.y = y
 			v.recvYW = v.recvW[y]
 			v.buildOthers(x, y)
-			empty := v.free[0].CopyThenDifference(v.s.tran[x], v.s.tran[y])
-			if empty || !v.free[0].Intersects(v.s.recv[y]) {
+			empty := v.free[0].CopyThenDifference(v.s.Tran(x), v.s.Tran(y))
+			if empty || !v.free[0].Intersects(v.s.Recv(y)) {
 				// The base already misses recv(y): every completion of
 				// every S scores 0.
 				v.minSlots = 0
@@ -732,7 +732,7 @@ func (v *Verifier) avgThroughputNumerator() *big.Int {
 			}
 			v.pairSum = 0
 			if v.k == 0 {
-				v.pairSum = int64(v.s.tran[x].DifferenceIntersectionCount(v.s.tran[y], v.s.recv[y]))
+				v.pairSum = int64(v.s.Tran(x).DifferenceIntersectionCount(v.s.Tran(y), v.s.Recv(y)))
 			} else if v.w1 {
 				v.y = y
 				v.recvY1 = v.recv1[y]
@@ -750,8 +750,8 @@ func (v *Verifier) avgThroughputNumerator() *big.Int {
 				v.y = y
 				v.recvYW = v.recvW[y]
 				v.buildOthers(x, y)
-				empty := v.free[0].CopyThenDifference(v.s.tran[x], v.s.tran[y])
-				if !empty && v.free[0].Intersects(v.s.recv[y]) {
+				empty := v.free[0].CopyThenDifference(v.s.Tran(x), v.s.Tran(y))
+				if !empty && v.free[0].Intersects(v.s.Recv(y)) {
 					if v.k == 1 {
 						v.avgLeaves(v.freeW[0], 0)
 					} else {

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
+	ttdc "repro"
+	"repro/internal/core"
 	"repro/internal/schedcache"
 )
 
@@ -65,5 +69,45 @@ func TestArtifactCacheByteBudget(t *testing.T) {
 	}
 	if st := tiny.ArtifactStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("oversized artifact stayed resident: %+v", st)
+	}
+}
+
+// TestArtifactJSONMatchesMarshal pins the spliced JSON body to what
+// json.Marshal writes for the whole scheduleResponse with the schedule as
+// a RawMessage, for base and duty-cycled keys of both strategies.
+func TestArtifactJSONMatchesMarshal(t *testing.T) {
+	svc := NewService(16)
+	keys := []schedcache.Key{
+		{N: 9, D: 2},
+		{N: 25, D: 3},
+		{N: 25, D: 2, AlphaT: 3, AlphaR: 5},
+		{N: 36, D: 3, AlphaT: 2, AlphaR: 7, Strategy: core.Balanced},
+	}
+	for _, k := range keys {
+		a, _, err := svc.Artifact(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sj bytes.Buffer
+		if err := ttdc.EncodeSchedule(&sj, a.Frame.Schedule); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(scheduleResponse{
+			Schedule: json.RawMessage(bytes.TrimSpace(sj.Bytes())),
+			scheduleSummary: scheduleSummary{
+				N: k.N, D: k.D, AlphaT: k.AlphaT, AlphaR: k.AlphaR,
+				Strategy:           schedcache.StrategyName(k.Strategy),
+				L:                  a.Frame.Schedule.L(),
+				ActiveFraction:     a.Frame.ActiveFraction,
+				AvgThroughput:      a.Frame.AvgThroughput.RatString(),
+				AvgThroughputFloat: ttdc.RatFloat(a.Frame.AvgThroughput),
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(a.JSON, want) {
+			t.Fatalf("%s: JSON body differs from json.Marshal:\n got %.300q\nwant %.300q", k.Canonical(), a.JSON, want)
+		}
 	}
 }

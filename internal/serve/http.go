@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -149,8 +150,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // intParam parses query parameter name as an int, with def when absent.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -164,8 +165,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 // negotiate picks the response representation: the explicit ?format=
 // override first, then the Accept header (wire only when the client asks
 // for it by exact media type), defaulting to JSON.
-func negotiate(r *http.Request) (wantWire bool, err error) {
-	switch f := r.URL.Query().Get("format"); f {
+func negotiate(r *http.Request, q url.Values) (wantWire bool, err error) {
+	switch f := q.Get("format"); f {
 	case "wire":
 		return true, nil
 	case "json":
@@ -211,31 +212,33 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
-	n, err := intParam(r, "n", 0)
+	// The query is parsed once; every parameter reads the same values.
+	q := r.URL.Query()
+	n, err := intParam(q, "n", 0)
 	if err == nil && n == 0 {
 		err = fmt.Errorf("parameter n is required")
 	}
 	var d int
 	if err == nil {
-		d, err = intParam(r, "D", 0)
+		d, err = intParam(q, "D", 0)
 		if d == 0 && err == nil {
 			err = fmt.Errorf("parameter D is required")
 		}
 	}
 	var alphaT, alphaR int
 	if err == nil {
-		alphaT, err = intParam(r, "alphaT", 0)
+		alphaT, err = intParam(q, "alphaT", 0)
 	}
 	if err == nil {
-		alphaR, err = intParam(r, "alphaR", 0)
+		alphaR, err = intParam(q, "alphaR", 0)
 	}
 	var strategy = ttdc.Sequential
 	if err == nil {
-		strategy, err = schedcache.ParseStrategy(r.URL.Query().Get("strategy"))
+		strategy, err = schedcache.ParseStrategy(q.Get("strategy"))
 	}
 	var wantWire bool
 	if err == nil {
-		wantWire, err = negotiate(r)
+		wantWire, err = negotiate(r, q)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

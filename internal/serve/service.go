@@ -33,6 +33,11 @@ type scheduleResponse struct {
 	// Schedule is the exact EncodeSchedule JSON document
 	// ({"n":..., "t":[[...]], "r":[[...]]}); DecodeSchedule accepts it.
 	Schedule json.RawMessage `json:"schedule"`
+	scheduleSummary
+}
+
+// scheduleSummary is every scheduleResponse field after the schedule.
+type scheduleSummary struct {
 	// Request echo.
 	N        int    `json:"n"`
 	D        int    `json:"d"`
@@ -247,8 +252,7 @@ func buildArtifact(k schedcache.Key, sched *core.Schedule) (*Artifact, error) {
 	if err := ttdc.EncodeSchedule(&sj, sched); err != nil {
 		return nil, err
 	}
-	doc := scheduleResponse{
-		Schedule:           json.RawMessage(bytes.TrimSpace(sj.Bytes())),
+	summary, err := json.Marshal(scheduleSummary{
 		N:                  k.N,
 		D:                  k.D,
 		AlphaT:             k.AlphaT,
@@ -258,11 +262,19 @@ func buildArtifact(k schedcache.Key, sched *core.Schedule) (*Artifact, error) {
 		ActiveFraction:     frame.ActiveFraction,
 		AvgThroughput:      frame.AvgThroughput.RatString(),
 		AvgThroughputFloat: ttdc.RatFloat(frame.AvgThroughput),
-	}
-	jsonBytes, err := json.Marshal(doc)
+	})
 	if err != nil {
 		return nil, err
 	}
+	// The scheduleResponse document, spliced: EncodeSchedule's output is
+	// already compact JSON, so it goes in as is rather than through
+	// json.Marshal's re-scan of a RawMessage. The bytes are the same.
+	schedJSON := bytes.TrimSpace(sj.Bytes())
+	jsonBytes := make([]byte, 0, len(`{"schedule":`)+len(schedJSON)+len(summary)+1)
+	jsonBytes = append(jsonBytes, `{"schedule":`...)
+	jsonBytes = append(jsonBytes, schedJSON...)
+	jsonBytes = append(jsonBytes, ',')
+	jsonBytes = append(jsonBytes, summary[1:]...)
 	jsonBytes = append(jsonBytes, '\n')
 	return &Artifact{
 		Key:    k,

@@ -87,8 +87,9 @@ type SaturationKernel struct {
 	n  int
 	l  int
 	lw int // words per L-bit slot row
-	// tran[u] aliases the schedule's tran(u) backing words (read-only).
-	tran [][]uint64
+	// tran is the schedule's Tran slab (read-only): tran(u) is
+	// tran[u*lw : (u+1)*lw], lw being the slab's row stride.
+	tran []uint64
 	// rxOnly is the flat n×lw struct-of-arrays row block: rxOnly[u*lw:(u+1)*lw]
 	// holds recv(u) &^ tran(u), the slots in which u has the Receive role.
 	rxOnly []uint64
@@ -108,20 +109,19 @@ func NewSaturationKernel(s *core.Schedule, n int) (*SaturationKernel, error) {
 	if n > s.N() {
 		return nil, fmt.Errorf("sim: graph has %d nodes but schedule supports %d", n, s.N())
 	}
-	l := s.L()
-	lw := (l + wordBits - 1) / wordBits
+	tm := s.TranMatrix()
+	lw := tm.Stride()
 	k := &SaturationKernel{
 		s:      s,
 		n:      n,
-		l:      l,
+		l:      s.L(),
 		lw:     lw,
-		tran:   make([][]uint64, n),
+		tran:   tm.Words(),
 		rxOnly: make([]uint64, n*lw),
 	}
 	for u := 0; u < n; u++ {
-		tw := s.Tran(u).Words()
+		tw := k.tran[u*lw : (u+1)*lw]
 		rw := s.Recv(u).Words()
-		k.tran[u] = tw
 		row := k.rxOnly[u*lw : (u+1)*lw]
 		for j := 0; j < lw; j++ {
 			t := tw[j]
@@ -220,7 +220,7 @@ func (k *SaturationKernel) resolveRange(g *topology.Graph, lo, hi, frames int,
 			many[j] = 0
 		}
 		g.ForEachNeighbor(v, func(u int) bool {
-			tw := k.tran[u]
+			tw := k.tran[u*lw : (u+1)*lw]
 			for j := range once {
 				carry := once[j] & tw[j]
 				once[j] ^= tw[j]
@@ -240,7 +240,7 @@ func (k *SaturationKernel) resolveRange(g *topology.Graph, lo, hi, frames int,
 		// in-frame gaps, plus the frame-wrap gap when the run has a second
 		// frame for the pattern to repeat into.
 		g.ForEachNeighbor(v, func(u int) bool {
-			tw := k.tran[u]
+			tw := k.tran[u*lw : (u+1)*lw]
 			cnt := 0
 			first, prev := -1, -1
 			for j := range x1 {

@@ -134,6 +134,21 @@ func TestConvergecastScale100k(t *testing.T) {
 	}
 }
 
+// BenchmarkScaleScheduleBuild1M times the set-up layer the saturation
+// benchmarks below exclude: the polynomial family and non-sleeping schedule
+// at n = 10⁶, D = 4 (L = 289). It runs before them so its peak RSS is the
+// build's own.
+func BenchmarkScaleScheduleBuild1M(b *testing.B) {
+	skipUnlessScale(b, "the n=1000000 schedule build benchmark")
+	const n, d = 1_000_000, 4
+	for i := 0; i < b.N; i++ {
+		if s := benchPolySchedule(b, n, d); s.N() != n {
+			b.Fatalf("built n=%d, want %d", s.N(), n)
+		}
+	}
+	reportScaleMetrics(b)
+}
+
 // The Shards1/ShardsMax suffix pairs below are recognized by cmd/ttdcbench,
 // which derives sequential-vs-sharded speedups into BENCH_sim.json.
 

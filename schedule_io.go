@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+
+	"repro/internal/bitset"
 )
 
 // scheduleJSON is the on-disk form of a schedule: per-slot transmitter and
@@ -15,14 +18,42 @@ type scheduleJSON struct {
 }
 
 // EncodeSchedule writes s to w as JSON ({"n":..., "t":[[...]], "r":[[...]]}).
+// The bytes are those encoding/json writes for scheduleJSON, newline
+// included, appended straight from the slot sets without building the
+// node lists.
 func EncodeSchedule(w io.Writer, s *Schedule) error {
-	out := scheduleJSON{N: s.N(), T: make([][]int, s.L()), R: make([][]int, s.L())}
-	for i := 0; i < s.L(); i++ {
-		out.T[i] = s.T(i).Elements()
-		out.R[i] = s.R(i).Elements()
+	b := append(make([]byte, 0, 64), `{"n":`...)
+	b = strconv.AppendInt(b, int64(s.N()), 10)
+	b = append(b, `,"t":`...)
+	b = appendSlotLists(b, s.L(), s.T)
+	b = append(b, `,"r":`...)
+	b = appendSlotLists(b, s.L(), s.R)
+	b = append(b, "}\n"...)
+	_, err := w.Write(b)
+	return err
+}
+
+// appendSlotLists appends the JSON array of the l slot sets slot(0..l-1),
+// each as an array of its elements in increasing order.
+func appendSlotLists(b []byte, l int, slot func(int) *bitset.Set) []byte {
+	b = append(b, '[')
+	for i := 0; i < l; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		sep := false
+		slot(i).ForEach(func(x int) bool {
+			if sep {
+				b = append(b, ',')
+			}
+			sep = true
+			b = strconv.AppendInt(b, int64(x), 10)
+			return true
+		})
+		b = append(b, ']')
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return append(b, ']')
 }
 
 // maxDecodedDimension bounds n and L when decoding untrusted input, so a

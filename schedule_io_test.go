@@ -2,6 +2,7 @@ package ttdc_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -28,6 +29,57 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	for i := 0; i < orig.L(); i++ {
 		if !got.T(i).Equal(orig.T(i)) || !got.R(i).Equal(orig.R(i)) {
 			t.Fatalf("slot %d changed", i)
+		}
+	}
+}
+
+// TestEncodeScheduleMatchesEncodingJSON pins EncodeSchedule's hand-written
+// bytes to what encoding/json writes for the same document, including
+// empty slot lists, sleeping schedules and multi-digit node ids.
+func TestEncodeScheduleMatchesEncodingJSON(t *testing.T) {
+	poly, err := ttdc.PolynomialSchedule(1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdma, err := ttdc.TDMA(70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := ttdc.PolynomialSchedule(25, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	duty, err := ttdc.Construct(small, ttdc.ConstructOptions{D: 2, AlphaT: 3, AlphaR: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := ttdc.NewSchedule(3, [][]int{{}, {0}, {1, 2}}, [][]int{{0, 1, 2}, {}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		s    *ttdc.Schedule
+	}{{"polynomial", poly}, {"tdma", tdma}, {"duty", duty}, {"sparse", sparse}} {
+		name, s := c.name, c.s
+		doc := struct {
+			N int     `json:"n"`
+			T [][]int `json:"t"`
+			R [][]int `json:"r"`
+		}{N: s.N(), T: make([][]int, s.L()), R: make([][]int, s.L())}
+		for i := 0; i < s.L(); i++ {
+			doc.T[i] = s.T(i).Elements()
+			doc.R[i] = s.R(i).Elements()
+		}
+		var want, got bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := ttdc.EncodeSchedule(&got, s); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: EncodeSchedule differs from encoding/json:\n got %.200q\nwant %.200q", name, got.Bytes(), want.Bytes())
 		}
 	}
 }
